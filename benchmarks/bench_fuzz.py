@@ -28,9 +28,6 @@ from pathlib import Path
 from repro.analysis.report import print_table
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.generator import GeneratorConfig
-from repro.parallel import WorkerPool
-
-WORKERS = 2
 
 #: (preset name, generator shape).
 PRESETS = [
@@ -64,54 +61,53 @@ def measure(count: int = 12, tmp_root: Path = None):
 
     tmp_root = tmp_root or Path(tempfile.mkdtemp(prefix="bench-fuzz-"))
     results = []
-    with WorkerPool(WORKERS) as pool:
-        for name, generator in PRESETS:
-            config = campaign_config(
-                generator, count, zoo_root=tmp_root / name
-            )
-            start = time.perf_counter()
-            outcome = run_campaign(config, pool=pool)
-            elapsed = time.perf_counter() - start
-            stats = outcome.stats
-            assert stats["divergent"] == 0, (
-                f"{name}: honest engines diverged: {outcome.divergent}"
-            )
-            results.append({
-                "preset": name,
-                "generated": stats["generated"],
-                "filtered": stats["filtered"],
-                "explored": stats["explored"],
-                "divergent": stats["divergent"],
-                "zoo_added": stats["zoo_added"],
-                "spent_states": stats["spent"],
-                "elapsed_s": round(elapsed, 4),
-                "states_per_second": round(stats["spent"] / elapsed, 1)
-                if elapsed > 0 else 0.0,
-            })
-        # The falsifiability leg: a sabotaged engine must be caught.
+    for name, generator in PRESETS:
         config = campaign_config(
-            PRESETS[0][1], count,
-            zoo_root=tmp_root / "inject", inject="forget-value",
+            generator, count, zoo_root=tmp_root / name
         )
         start = time.perf_counter()
-        outcome = run_campaign(config, pool=pool)
+        outcome = run_campaign(config)
         elapsed = time.perf_counter() - start
-        assert outcome.stats["divergent"] > 0, (
-            "the oracle failed to catch the sabotaged engine"
+        stats = outcome.stats
+        assert stats["divergent"] == 0, (
+            f"{name}: honest engines diverged: {outcome.divergent}"
         )
         results.append({
-            "preset": "inject:forget-value",
-            "generated": outcome.stats["generated"],
-            "filtered": outcome.stats["filtered"],
-            "explored": outcome.stats["explored"],
-            "divergent": outcome.stats["divergent"],
-            "zoo_added": outcome.stats["zoo_added"],
-            "spent_states": outcome.stats["spent"],
+            "preset": name,
+            "generated": stats["generated"],
+            "filtered": stats["filtered"],
+            "explored": stats["explored"],
+            "divergent": stats["divergent"],
+            "zoo_added": stats["zoo_added"],
+            "spent_states": stats["spent"],
             "elapsed_s": round(elapsed, 4),
-            "states_per_second": round(
-                outcome.stats["spent"] / elapsed, 1
-            ) if elapsed > 0 else 0.0,
+            "states_per_second": round(stats["spent"] / elapsed, 1)
+            if elapsed > 0 else 0.0,
         })
+    # The falsifiability leg: a sabotaged engine must be caught.
+    config = campaign_config(
+        PRESETS[0][1], count,
+        zoo_root=tmp_root / "inject", inject="forget-value",
+    )
+    start = time.perf_counter()
+    outcome = run_campaign(config)
+    elapsed = time.perf_counter() - start
+    assert outcome.stats["divergent"] > 0, (
+        "the oracle failed to catch the sabotaged engine"
+    )
+    results.append({
+        "preset": "inject:forget-value",
+        "generated": outcome.stats["generated"],
+        "filtered": outcome.stats["filtered"],
+        "explored": outcome.stats["explored"],
+        "divergent": outcome.stats["divergent"],
+        "zoo_added": outcome.stats["zoo_added"],
+        "spent_states": outcome.stats["spent"],
+        "elapsed_s": round(elapsed, 4),
+        "states_per_second": round(
+            outcome.stats["spent"] / elapsed, 1
+        ) if elapsed > 0 else 0.0,
+    })
     return results
 
 
@@ -138,7 +134,6 @@ def main(count: int = 12) -> None:
                 "bench": "fuzz-campaign",
                 "count": count,
                 "seed": 20,
-                "workers": WORKERS,
                 "results": results,
             },
             indent=2,
@@ -164,16 +159,11 @@ def test_campaign_throughput(benchmark):
     import tempfile
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-fuzz-pt-"))
-    with WorkerPool(WORKERS) as pool:
 
-        def run():
-            run_campaign(
-                campaign_config(PRESETS[0][1], 6, zoo_root=tmp / "z"),
-                pool=pool,
-            )
+    def run():
+        run_campaign(campaign_config(PRESETS[0][1], 6, zoo_root=tmp / "z"))
 
-        run()  # warm the pool outside the clock
-        benchmark(run)
+    benchmark(run)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ import bench_kset
 import bench_randomized
 import bench_step_complexity
 import bench_faults
-import bench_parallel
 import bench_obs
 import bench_lint
 import bench_incremental
@@ -53,7 +52,6 @@ def main() -> None:
         ("E12", bench_randomized.main),
         ("E13", bench_step_complexity.main),
         ("E14", bench_faults.main),
-        ("E15", lambda: bench_parallel.main(1 if quick else 3)),
         ("E16", lambda: bench_obs.main(3 if quick else 7)),
         ("E17", lambda: bench_lint.main(3 if quick else 9)),
         ("E18", lambda: bench_incremental.main(3 if quick else 4)),

@@ -68,14 +68,11 @@ def reconstruct_path(
 ) -> Schedule:
     """Read the root-to-``key`` schedule off a BFS parent-pointer map.
 
-    Shared by the sequential explorer and the sharded engine
-    (:mod:`repro.parallel.sharded`): both record, for every canonical
-    key, the (parent key, pid) edge over which the key was *first*
-    discovered, so the reconstructed schedule is always a genuine
-    concrete execution from the root configuration -- it replays
-    deterministically in a fresh sequential
-    :class:`~repro.model.system.System` regardless of which engine (or
-    which worker process) discovered it.
+    The explorer records, for every canonical key, the (parent key, pid)
+    edge over which the key was *first* discovered, so the reconstructed
+    schedule is always a genuine concrete execution from the root
+    configuration -- it replays deterministically in a fresh
+    :class:`~repro.model.system.System`.
     """
     steps: List[int] = []
     cursor = parents[key]
@@ -118,9 +115,8 @@ class ExplorationResult:
 
         True iff each recorded schedule, applied to the root
         configuration, reaches a configuration where its value is
-        decided.  Used by the differential tests to check that sharded
-        and cached runs hand out schedules a fresh sequential system
-        accepts.
+        decided.  Used by the differential tests to check that kernel,
+        POR and cached runs hand out schedules a fresh system accepts.
         """
         for value, schedule in self.decided.items():
             final, _ = system.run(self.root, schedule)

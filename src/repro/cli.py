@@ -18,20 +18,18 @@ fuzz        protocol fuzzing: deterministic corpus campaigns through the
             cross-engine differential oracle (``fuzz run``), plus the
             persistent regression zoo (``fuzz zoo list|replay``)
 chaos       differential runtime fault injection (results must stay
-            byte-equal under worker kills, cache corruption, torn
-            journals)
+            byte-equal under cache corruption and torn journals)
 stats       render the metrics record of a trace journal as tables
 trace       filter and pretty-print a trace journal's spans and events
 
 The CLI names protocols as ``family:n[:extra]``, e.g. ``rounds:4``,
 ``shared:5:3``, ``cas:3``, ``kset:5:2``, ``counter:6``, ``snapshot:4``.
 
-``adversary`` and ``audit`` accept ``--workers N`` (sharded parallel
-exploration, results bit-identical to sequential), ``--cache-dir``
-(persistent valency cache; defaults to ``~/.cache/repro`` when the
-``cache`` command manages it explicitly) and ``--por`` (partial-order
-reduction: prune exploration edges whose targets are provably already
-known, results still bit-identical; see :mod:`repro.lint`).
+``adversary`` and ``audit`` accept ``--cache-dir`` (persistent valency
+cache; defaults to ``~/.cache/repro`` when the ``cache`` command
+manages it explicitly) and ``--por`` (partial-order reduction: prune
+exploration edges whose targets are provably already known, results
+still bit-identical; see :mod:`repro.lint`).
 
 ``lint`` has its own exit-code nuance within the same contract: 0 means
 no diagnostics beyond ``info``, 2 means warnings or errors were
@@ -125,7 +123,7 @@ def parse_protocol(spec: str):
     The ``zoo:<digest-prefix>`` family resolves a regression-zoo
     specimen (``$REPRO_ZOO_DIR`` or ``corpus/zoo``) to its table
     protocol, so zoo findings are runnable by every protocol-taking
-    command -- and by ``repro serve`` jobs -- under a stable name.
+    command under a stable name.
     """
     parts = spec.split(":")
     family = parts[0]
@@ -229,9 +227,8 @@ def cmd_adversary(args) -> int:
     if args.auto and not guarded:
         try:
             certificate = space_lower_bound_auto(
-                system, workers=args.workers, cache_dir=args.cache_dir,
-                por=args.por, incremental=args.incremental,
-                kernel=args.kernel,
+                system, cache_dir=args.cache_dir, por=args.por,
+                incremental=args.incremental, kernel=args.kernel,
             )
         except AdversaryError as exc:
             print(f"construction failed: {exc}")
@@ -256,12 +253,9 @@ def cmd_adversary(args) -> int:
         max_configs=args.max_configs,
         max_depth=args.max_depth,
         spec=args.protocol,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         por=args.por,
         incremental=args.incremental,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
         checkpoint=args.resume,
         kernel=args.kernel,
     )
@@ -352,10 +346,8 @@ def cmd_audit(args) -> int:
         outcome = run_adversary_guarded(
             system, budget=_make_budget(args), max_configs=args.max_configs,
             max_depth=args.max_depth, spec=spec,
-            workers=args.workers, cache_dir=args.cache_dir,
-            por=args.por, incremental=args.incremental,
-            max_retries=args.max_retries, task_timeout=args.task_timeout,
-            kernel=args.kernel,
+            cache_dir=args.cache_dir, por=args.por,
+            incremental=args.incremental, kernel=args.kernel,
         )
         if outcome.status == "certificate":
             bound = f"{outcome.certificate.bound} pinned"
@@ -525,9 +517,7 @@ def cmd_chaos(args) -> int:
         rows = chaos_campaign(
             protocol,
             workdir,
-            workers=args.workers,
             seed=args.seed,
-            kills=args.kills,
             scenarios=args.scenarios,
             max_configs=args.max_configs,
             max_depth=args.max_depth,
@@ -536,21 +526,21 @@ def cmd_chaos(args) -> int:
         if cleanup is not None:
             cleanup.cleanup()
     print_table(
-        f"chaos campaign ({args.protocol}, seed={args.seed}, "
-        f"workers={args.workers})",
+        f"chaos campaign ({args.protocol}, seed={args.seed})",
         ["scenario", "verdict", "detail"],
         [
             [row.scenario, "ok" if row.ok else "FAIL", row.detail]
             for row in rows
         ],
         note="every scenario injects a runtime fault and demands the "
-        "serialized result stay byte-equal to the undisturbed run",
+        "serialized result stay byte-equal to the undisturbed run; a "
+        "scenario that injected nothing fails as vacuous",
     )
     if all(row.ok for row in rows):
         print(f"ok: {len(rows)} chaos scenarios, all byte-equal")
         return EXIT_OK
     failed = ", ".join(row.scenario for row in rows if not row.ok)
-    print(f"FAIL: chaos changed results in: {failed}")
+    print(f"FAIL: chaos scenarios not passed: {failed}")
     return EXIT_VIOLATION
 
 
@@ -647,21 +637,10 @@ def cmd_stats(args) -> int:
         )
     print_table("derived", ["quantity", "value"], derived)
 
-    # Supervision and checkpointing: what the resilience layer did to
-    # this run.  Same zero-denominator discipline -- a journal from an
-    # unsupervised (or sequential) run renders as zeros and "n/a".
-    dispatched = counters.get("supervisor.tasks_dispatched", 0)
+    # Checkpointing: what the resilience layer did to this run (zero for
+    # a run without --resume).
     resilience = [
-        ["worker restarts", counters.get("supervisor.worker_restarts", 0)],
-        ["tasks retried", counters.get("supervisor.tasks_retried", 0)],
-        ["tasks quarantined",
-         counters.get("supervisor.tasks_quarantined", 0)],
-        ["degraded to sequential",
-         counters.get("supervisor.degraded_to_sequential", 0)],
-        ["task retry rate",
-         rate(counters.get("supervisor.tasks_retried", 0), dispatched)],
         ["checkpoint records", counters.get("checkpoint.records", 0)],
-        ["level snapshots", counters.get("checkpoint.level_saves", 0)],
     ]
     print_table("resilience", ["quantity", "value"], resilience)
 
@@ -897,48 +876,29 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _fuzz_engines(workers: int, kernel: str = "compiled"):
-    """The differential matrix with the sharded row at ``workers``.
+def _fuzz_engines(kernel: str):
+    """The differential matrix for a fuzz command.
 
     ``kernel="interp"`` drops the compiled-kernel leg (the matrix is
-    then the five interpreter engines); the default keeps all six.
+    then the four interpreter engines); ``"compiled"`` keeps all five.
     """
-    from repro.fuzz import DEFAULT_ENGINES, EngineSpec
+    from repro.fuzz import DEFAULT_ENGINES
 
     return tuple(
-        EngineSpec("sharded", workers=max(2, workers))
-        if spec.name == "sharded" else spec
-        for spec in DEFAULT_ENGINES
+        spec for spec in DEFAULT_ENGINES
         if kernel == "compiled" or spec.kernel == "interp"
     )
-
-
-@contextlib.contextmanager
-def _fuzz_pool(engines):
-    """One shared worker pool for every sharded leg of a fuzz command."""
-    from repro.parallel import WorkerPool
-
-    width = max(spec.workers for spec in engines)
-    if width <= 1:
-        yield None
-        return
-    pool = WorkerPool(width)
-    try:
-        yield pool
-    finally:
-        pool.close()
 
 
 def cmd_fuzz_run(args) -> int:
     from repro.fuzz import run_campaign
     from repro.fuzz.campaign import CampaignConfig
 
-    engines = _fuzz_engines(args.workers, args.kernel)
     config = CampaignConfig(
         seed=args.seed,
         count=args.count,
         mutants=args.mutants,
-        engines=engines,
+        engines=_fuzz_engines(args.kernel),
         max_configs=args.max_configs,
         max_depth=args.max_depth,
         budget_steps=args.budget,
@@ -948,8 +908,7 @@ def cmd_fuzz_run(args) -> int:
         zoo_cap=args.zoo_cap,
         inject=args.inject,
     )
-    with _fuzz_pool(engines) as pool:
-        result = run_campaign(config, pool=pool, journal_path=args.journal)
+    result = run_campaign(config, journal_path=args.journal)
     stats = result.stats
     print(
         f"fuzz campaign seed={config.seed}: generated {stats['generated']} "
@@ -1008,26 +967,24 @@ def cmd_fuzz_zoo_replay(args) -> int:
     if not specimens:
         print(f"zoo at {zoo.root} is empty")
         return EXIT_OK
-    engines = _fuzz_engines(args.workers, args.kernel)
+    engines = _fuzz_engines(args.kernel)
     divergent = 0
-    with _fuzz_pool(engines) as pool:
-        for specimen in specimens:
-            report = differential(
-                specimen.build(),
-                engines,
-                max_configs=args.max_configs,
-                max_depth=args.max_depth,
-                pool=pool,
+    for specimen in specimens:
+        report = differential(
+            specimen.build(),
+            engines,
+            max_configs=args.max_configs,
+            max_depth=args.max_depth,
+        )
+        if report.ok:
+            print(f"ok        {specimen.digest[:16]} {specimen.tag}")
+        else:
+            divergent += 1
+            first = report.first()
+            print(
+                f"DIVERGENT {specimen.digest[:16]} [{first.engine}] "
+                f"{first.kind}: {first.detail}"
             )
-            if report.ok:
-                print(f"ok        {specimen.digest[:16]} {specimen.tag}")
-            else:
-                divergent += 1
-                first = report.first()
-                print(
-                    f"DIVERGENT {specimen.digest[:16]} [{first.engine}] "
-                    f"{first.kind}: {first.detail}"
-                )
     print(
         f"replayed {len(specimens)} specimen(s) through "
         f"{len(engines)} engines: {divergent} divergent"
@@ -1081,12 +1038,7 @@ def _observed(args):
                 handle.write("\n")
 
 
-def _add_parallel_flags(p) -> None:
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="explore with N sharded worker processes (results are "
-        "bit-identical to sequential)",
-    )
+def _add_engine_flags(p) -> None:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist valency results under DIR so reruns skip "
@@ -1104,210 +1056,11 @@ def _add_parallel_flags(p) -> None:
         "bit-identical either way)",
     )
     p.add_argument(
-        "--max-retries", type=int, default=2, metavar="K",
-        help="retry a worker-lost shard K times before quarantining it "
-        "in-process (supervised pool; results are bit-identical)",
-    )
-    p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="declare a worker wedged (and respawn it) if one shard "
-        "takes longer than this",
-    )
-    p.add_argument(
         "--kernel", choices=("compiled", "interp"), default="compiled",
         help="exploration kernel: 'compiled' lowers the protocol to the "
         "packed-integer batch engine where supported (automatic recorded "
         "fallback otherwise); results are bit-identical either way",
     )
-
-
-# -- repro serve / repro db ---------------------------------------------------
-
-def _serve_run_dir(args):
-    from pathlib import Path
-
-    from repro.service.daemon import default_run_dir
-
-    return Path(args.run_dir) if args.run_dir else default_run_dir()
-
-
-def cmd_serve_start(args) -> int:
-    from repro.service.daemon import Daemon
-
-    return Daemon(
-        _serve_run_dir(args),
-        host=args.host,
-        port=args.port,
-        job_workers=args.job_workers,
-        drain_grace=args.drain_grace,
-    ).run()
-
-
-def cmd_serve_stop(args) -> int:
-    from repro.service.daemon import stop
-
-    if stop(_serve_run_dir(args)):
-        print("daemon stopped")
-        return EXIT_OK
-    print("daemon did not exit in time")
-    return EXIT_ERROR
-
-
-def cmd_serve_restart(args) -> int:
-    from repro.errors import ServiceError
-    from repro.service.daemon import stop
-
-    try:
-        stop(_serve_run_dir(args))
-    except ServiceError:
-        pass  # nothing running: restart degrades to start
-    return cmd_serve_start(args)
-
-
-def cmd_serve_status(args) -> int:
-    import urllib.request
-
-    from repro.service.daemon import status
-
-    snap = status(_serve_run_dir(args))
-    rows = [
-        ["run dir", snap["run_dir"]],
-        ["running", "yes" if snap["running"] else "no"],
-        ["pid", snap["pid"] if snap["pid"] else "n/a"],
-        ["port", snap["port"] if snap["port"] else "n/a"],
-    ]
-    for state, count in sorted(snap.get("jobs", {}).items()):
-        rows.append([f"jobs {state}", count])
-    if "schema_version" in snap:
-        rows.append(["ledger schema", f"v{snap['schema_version']}"])
-    for key, value in sorted(snap["config"].items()):
-        rows.append([f"config {key}", value])
-    if snap["running"]:
-        try:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{snap['port']}/health", timeout=5
-            ) as response:
-                health = json.loads(response.read().decode("utf-8"))
-            queue = health.get("queue", {})
-            rows.append(["queued", queue.get("queued", "n/a")])
-            rows.append(["in flight", queue.get("inflight", "n/a")])
-        except OSError as exc:
-            rows.append(["health", f"unreachable: {exc}"])
-    print_table("repro serve", ["field", "value"], rows)
-    return EXIT_OK if snap["running"] else EXIT_ERROR
-
-
-def cmd_serve_configure(args) -> int:
-    from repro.service.daemon import save_config
-
-    updates = {}
-    for item in args.settings:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"bad setting {item!r}: expected key=value")
-        if value in ("", "null", "none"):
-            updates[key] = None
-        else:
-            try:
-                updates[key] = json.loads(value)
-            except json.JSONDecodeError:
-                updates[key] = value
-    config = save_config(_serve_run_dir(args), updates)
-    rows = sorted(config.items()) or [["(defaults)", ""]]
-    print_table("persisted daemon configuration", ["key", "value"], rows)
-    print("takes effect on the next `repro serve start`")
-    return EXIT_OK
-
-
-def _open_ledger(args):
-    from repro.service import ResultLedger
-    from repro.service.daemon import default_run_dir
-
-    path = args.db if args.db else default_run_dir() / "ledger.sqlite"
-    if not os.path.exists(path):
-        raise SystemExit(f"no ledger at {path} (run `repro serve` first?)")
-    return ResultLedger(path)
-
-
-def cmd_db_query(args) -> int:
-    ledger = _open_ledger(args)
-    if args.jobs:
-        rows = [
-            [
-                job["job_key"], job["kind"], job["spec"], job["state"],
-                "n/a" if job["exit_code"] is None else job["exit_code"],
-                (job["detail"] or "")[:60],
-            ]
-            for job in ledger.jobs(state=args.state, limit=args.limit)
-        ]
-        print_table(
-            "jobs",
-            ["job", "kind", "spec", "state", "exit", "detail"],
-            rows,
-        )
-        return EXIT_OK
-    rows = [
-        [
-            result["job_key"], result["kind"], result["protocol"],
-            result["exit_code"],
-            "n/a" if result["registers"] is None else result["registers"],
-            "n/a" if result["elapsed"] is None
-            else f"{result['elapsed']:.3f}s",
-            "yes" if result["certificate"] else "no",
-        ]
-        for result in ledger.results(
-            protocol=args.protocol, kind=args.kind, job_key=args.job,
-            limit=args.limit,
-        )
-    ]
-    print_table(
-        "results",
-        ["job", "kind", "protocol", "exit", "registers", "elapsed", "cert"],
-        rows,
-    )
-    return EXIT_OK
-
-
-def cmd_db_trend(args) -> int:
-    ledger = _open_ledger(args)
-    rows = [
-        [
-            row["protocol"], row["engine"] or "n/a", row["runs"],
-            row["certified"], row["violations"], row["partials"],
-            row["errors"],
-            "n/a" if row["best_elapsed"] is None
-            else f"{row['best_elapsed']:.3f}s",
-            "n/a" if row["last_elapsed"] is None
-            else f"{row['last_elapsed']:.3f}s",
-            "n/a" if row["registers"] is None else row["registers"],
-        ]
-        for row in ledger.trend(protocol=args.protocol)
-    ]
-    print_table(
-        "result trend by (protocol, engine)",
-        ["protocol", "engine", "runs", "cert", "viol", "part", "err",
-         "best", "last", "registers"],
-        rows,
-        note="best/last are elapsed seconds; registers is the latest "
-        "certificate's count",
-    )
-    return EXIT_OK
-
-
-def cmd_db_export(args) -> int:
-    ledger = _open_ledger(args)
-    payload = ledger.export(bench=args.bench)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {args.out}: {len(payload['results'])} workload(s), "
-            f"schema v{payload['schema_version']}"
-        )
-    else:
-        print(text, end="")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1339,10 +1092,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--resume", default=None, metavar="CHECKPOINT",
-        help="checkpoint file: read it if present, write it on budget "
-        "exhaustion",
+        help="checkpoint journal: resume from it if present; every "
+        "computed oracle answer is appended to it as the run goes",
     )
-    _add_parallel_flags(p)
+    _add_engine_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_adversary)
 
@@ -1365,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None,
         help="per-protocol wall-clock deadline in seconds",
     )
-    _add_parallel_flags(p)
+    _add_engine_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_audit)
 
@@ -1503,10 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--max-configs", type=int, default=4_000)
     fp.add_argument("--max-depth", type=int, default=40)
     fp.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the sharded differential leg",
-    )
-    fp.add_argument(
         "--guarded", action="store_true",
         help="also differential-test run_adversary_guarded outcomes and "
         "exit codes (slower)",
@@ -1566,10 +1315,6 @@ def build_parser() -> argparse.ArgumentParser:
     zr.add_argument("--max-configs", type=int, default=20_000)
     zr.add_argument("--max-depth", type=int, default=None)
     zr.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the sharded differential leg",
-    )
-    zr.add_argument(
         "--kernel", choices=("compiled", "interp"), default="compiled",
         help="'interp' drops the compiled-kernel leg from the "
         "differential matrix",
@@ -1582,15 +1327,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential chaos harness (runtime fault injection)",
     )
     p.add_argument("protocol", help="e.g. rounds:3")
-    p.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="sharded workers for the disturbed runs",
-    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--kills", type=int, default=1, metavar="K",
-        help="workers to kill at seeded dispatch points",
-    )
     p.add_argument(
         "--scenarios", nargs="+", default=list(CHAOS_SCENARIOS),
         choices=list(CHAOS_SCENARIOS),
@@ -1630,114 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N matching records",
     )
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "serve",
-        help="adversary-as-a-service daemon (HTTP job queue + ledger)",
-    )
-    serve_sub = p.add_subparsers(dest="serve_command", required=True)
-
-    def _serve_common(sp, with_server=False):
-        sp.add_argument(
-            "--run-dir", default=None, metavar="DIR",
-            help="daemon state directory (default: $REPRO_SERVE_DIR "
-            "or .repro-serve)",
-        )
-        if with_server:
-            sp.add_argument(
-                "--host", default="127.0.0.1",
-                help="bind address (default: loopback only)",
-            )
-            sp.add_argument(
-                "--port", type=int, default=0, metavar="N",
-                help="bind port (default: 0 = ephemeral, recorded in "
-                "the pidfile)",
-            )
-            sp.add_argument(
-                "--job-workers", type=int, default=1, metavar="N",
-                help="concurrent jobs (each may shard further via its "
-                "own workers param)",
-            )
-            sp.add_argument(
-                "--drain-grace", type=float, default=10.0,
-                metavar="SECONDS",
-                help="how long shutdown waits for in-flight jobs; "
-                "expired jobs resume from their checkpoints on restart",
-            )
-
-    sp = serve_sub.add_parser(
-        "start", help="run the daemon in the foreground"
-    )
-    _serve_common(sp, with_server=True)
-    sp.set_defaults(func=cmd_serve_start)
-
-    sp = serve_sub.add_parser(
-        "stop", help="SIGTERM the daemon and wait for a clean drain"
-    )
-    _serve_common(sp)
-    sp.set_defaults(func=cmd_serve_stop)
-
-    sp = serve_sub.add_parser(
-        "restart", help="stop (if running), then start; interrupted "
-        "jobs resume from their checkpoints"
-    )
-    _serve_common(sp, with_server=True)
-    sp.set_defaults(func=cmd_serve_restart)
-
-    sp = serve_sub.add_parser(
-        "status", help="pidfile, ledger and live-queue snapshot"
-    )
-    _serve_common(sp)
-    sp.set_defaults(func=cmd_serve_status)
-
-    sp = serve_sub.add_parser(
-        "configure",
-        help="persist daemon defaults (key=value ...; value 'null' "
-        "resets a key)",
-    )
-    _serve_common(sp)
-    sp.add_argument(
-        "settings", nargs="+", metavar="KEY=VALUE",
-        help="job-param defaults (max_configs, kernel, ...) or daemon "
-        "knobs (job_workers, host, port)",
-    )
-    sp.set_defaults(func=cmd_serve_configure)
-
-    p = sub.add_parser(
-        "db", help="query the service result ledger"
-    )
-    db_sub = p.add_subparsers(dest="db_command", required=True)
-
-    def _db_common(sp):
-        sp.add_argument(
-            "--db", default=None, metavar="FILE",
-            help="ledger path (default: <run-dir>/ledger.sqlite)",
-        )
-
-    sp = db_sub.add_parser("query", help="list results (or --jobs)")
-    _db_common(sp)
-    sp.add_argument("--jobs", action="store_true", help="list jobs instead")
-    sp.add_argument("--state", default=None, help="filter jobs by state")
-    sp.add_argument("--protocol", default=None, help="filter by protocol")
-    sp.add_argument("--kind", default=None, help="filter by job kind")
-    sp.add_argument("--job", default=None, help="filter by job key")
-    sp.add_argument("--limit", type=int, default=50, metavar="N")
-    sp.set_defaults(func=cmd_db_query)
-
-    sp = db_sub.add_parser(
-        "trend", help="per-(protocol, engine) aggregates over history"
-    )
-    _db_common(sp)
-    sp.add_argument("--protocol", default=None, help="filter by protocol")
-    sp.set_defaults(func=cmd_db_trend)
-
-    sp = db_sub.add_parser(
-        "export", help="emit the ledger in the BENCH_*.json shape"
-    )
-    _db_common(sp)
-    sp.add_argument("--out", default=None, metavar="FILE")
-    sp.add_argument("--bench", default="service", help="bench tag")
-    sp.set_defaults(func=cmd_db_export)
 
     return parser
 

@@ -35,7 +35,6 @@ def space_lower_bound(
     max_depth: Optional[int] = None,
     strict: bool = True,
     oracle: Optional[ValencyOracle] = None,
-    workers: int = 1,
     cache_dir=None,
     por: bool = False,
     incremental: bool = True,
@@ -71,7 +70,6 @@ def space_lower_bound(
             max_configs=max_configs,
             max_depth=max_depth,
             strict=strict,
-            workers=workers,
             cache_dir=cache_dir,
             por=por,
             incremental=incremental,
@@ -115,7 +113,6 @@ def space_lower_bound_auto(
     attempts: int = 4,
     initial_configs: int = 10_000,
     initial_depth: int = 40,
-    workers: int = 1,
     cache_dir=None,
     por: bool = False,
     incremental: bool = True,
@@ -138,7 +135,6 @@ def space_lower_bound_auto(
                 strict=False,
                 max_configs=configs,
                 max_depth=depth,
-                workers=workers,
                 cache_dir=cache_dir,
                 por=por,
                 incremental=incremental,

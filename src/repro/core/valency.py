@@ -60,13 +60,10 @@ class ValencyOracle:
         memoize: bool = True,
         solo_probe: bool = True,
         budget=None,
-        workers: int = 1,
         cache=None,
         cache_dir=None,
-        pool=None,
         por: bool = False,
         incremental: bool = True,
-        checkpoint_dir=None,
         kernel: str = "interp",
     ):
         """``strict`` oracles answer exactly: a "cannot decide" is backed
@@ -82,9 +79,6 @@ class ValencyOracle:
         take a wrong turn and fail -- but any certificate they *do*
         produce is validated by pure replay, independent of valency.
 
-        ``workers > 1`` explores with the sharded engine
-        (:class:`repro.parallel.ShardedExplorer`, bit-identical results;
-        ``pool`` optionally shares one worker pool between oracles).
         ``cache`` (a :class:`repro.parallel.ValencyCache`) or
         ``cache_dir`` enables the persistent on-disk result cache;
         disk-loaded witnesses are replay-validated before use.
@@ -100,13 +94,6 @@ class ValencyOracle:
         served from previously exhausted reachable graphs without a new
         search.  Answers and witnesses are bit-identical either way;
         only the work to produce them changes.
-
-        ``checkpoint_dir`` (sharded mode only) persists BFS level
-        snapshots per query under that directory
-        (:class:`repro.resilience.checkpoint.LevelCheckpoint`), so a
-        killed campaign resumes mid-query at the last completed level.
-        Like the cache, snapshots accelerate and never decide: results
-        are bit-identical with or without them.
 
         ``kernel`` selects the exploration engine: ``"compiled"`` lowers
         the protocol to the packed-integer batch kernel
@@ -130,7 +117,6 @@ class ValencyOracle:
         #: construction's work happens inside oracle queries, so ticking
         #: here bounds the adversaries end to end.
         self.budget = budget
-        self.workers = workers
         self.por = por
         self.kernel = kernel
         self.incremental = incremental
@@ -142,36 +128,16 @@ class ValencyOracle:
             )
         else:
             self._engine = None
-        if workers > 1:
-            from repro.parallel.sharded import ShardedExplorer
-
-            self.explorer = ShardedExplorer(
-                system,
-                workers=workers,
-                max_configs=max_configs,
-                max_depth=max_depth,
-                strict=strict,
-                budget=budget,
-                pool=pool,
-                por=por,
-                engine=self._engine,
-                kernel=kernel,
-            )
-        else:
-            self.explorer = Explorer(
-                system,
-                max_configs=max_configs,
-                max_depth=max_depth,
-                strict=strict,
-                budget=budget,
-                por=por,
-                engine=self._engine,
-                kernel=kernel,
-            )
-        #: BFS level snapshots are only meaningful for the sharded
-        #: engine (the sequential explorer's queries are assumed cheap
-        #: relative to the journal granularity).
-        self.checkpoint_dir = checkpoint_dir if workers > 1 else None
+        self.explorer = Explorer(
+            system,
+            max_configs=max_configs,
+            max_depth=max_depth,
+            strict=strict,
+            budget=budget,
+            por=por,
+            engine=self._engine,
+            kernel=kernel,
+        )
         if cache is None and cache_dir is not None:
             from repro.parallel.cache import ValencyCache
 
@@ -209,7 +175,7 @@ class ValencyOracle:
         self._intern_misses_flushed = 0
         self._closed = False
         #: Query counters, exposed for the memoisation ablation benchmark
-        #: and the parallel/cache benchmarks: ``explorations`` counts
+        #: and the cache benchmarks: ``explorations`` counts
         #: actual graph searches, ``disk_hits`` the searches avoided by
         #: the persistent cache, ``incremental.seeded`` the searches
         #: avoided by the frontier-reuse index (``incremental.cold``
@@ -258,7 +224,7 @@ class ValencyOracle:
         get_metrics().histogram("oracle.search_size").observe(visited)
 
     def close(self) -> None:
-        """Release pooled resources and retire the oracle.
+        """Release the explorer's resources and retire the oracle.
 
         A closed oracle refuses further queries
         (:class:`~repro.errors.AdversaryError`): answers computed after
@@ -267,9 +233,7 @@ class ValencyOracle:
         bug in the caller.  ``close`` itself is idempotent.
         """
         self._closed = True
-        close = getattr(self.explorer, "close", None)
-        if close is not None:
-            close()
+        self.explorer.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -423,27 +387,6 @@ class ValencyOracle:
         self.cache.store(self._fingerprint, digest, body)
         self._bump("disk_stores")
 
-    def _level_checkpoint(self, key: Hashable):
-        """The per-query BFS level checkpoint, or None.
-
-        Only sharded oracles with a ``checkpoint_dir`` and a stably
-        addressable key get one; the snapshot file is addressed by the
-        same stable digest as the persistent cache, and the parameter
-        token stored inside it prevents cross-query restores.
-        """
-        if self.checkpoint_dir is None:
-            return None
-        digest = self._digest_for(key)
-        if digest is None:
-            return None
-        from pathlib import Path
-
-        from repro.resilience.checkpoint import LevelCheckpoint
-
-        return LevelCheckpoint(
-            Path(self.checkpoint_dir) / f"{digest}.levels"
-        )
-
     def _explore(
         self,
         config: Configuration,
@@ -497,15 +440,9 @@ class ValencyOracle:
             pids=sorted(pids),
             stop_when=None if stop_when is None else sorted(stop_when, key=repr),
         ):
-            ckpt = self._level_checkpoint(key)
-            if ckpt is not None:
-                result = self.explorer.explore(
-                    config, pids, stop_when=stop_when, checkpoint=ckpt
-                )
-            else:
-                result = self.explorer.explore(
-                    config, pids, stop_when=stop_when
-                )
+            result = self.explorer.explore(
+                config, pids, stop_when=stop_when
+            )
         self._observe_exploration(result.visited)
         known = self._witnesses.setdefault(key, {})
         for value, witness in result.decided.items():

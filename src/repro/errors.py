@@ -136,16 +136,6 @@ class ResilienceError(ReproError):
     """
 
 
-class ServiceError(ReproError):
-    """The serve daemon or the result ledger hit an operational fault.
-
-    Covers pidfile conflicts (a daemon already runs for this run
-    directory), ledger schema refusals (a database written by a newer
-    service version), and malformed job submissions that slipped past
-    HTTP validation.
-    """
-
-
 class KernelError(ReproError):
     """The compiled exploration kernel hit an internal invariant failure.
 

@@ -21,11 +21,9 @@ rather than a stall:
 
 from repro.faults.budget import Budget, BudgetExhausted
 from repro.faults.chaos import (
-    ChaosPlan,
     ChaosScenarioRow,
     chaos_campaign,
     corrupt_cache_entry,
-    seeded_kill_plan,
     truncate_tail,
 )
 from repro.faults.crash import (
@@ -62,7 +60,6 @@ __all__ = [
     "AdversaryOutcome",
     "Budget",
     "BudgetExhausted",
-    "ChaosPlan",
     "ChaosScenarioRow",
     "CorruptionCampaignRow",
     "CrashCampaignRow",
@@ -85,7 +82,6 @@ __all__ = [
     "find_violation",
     "lost_write_plan",
     "run_adversary_guarded",
-    "seeded_kill_plan",
     "stale_read_plan",
     "truncate_tail",
 ]

@@ -1,20 +1,17 @@
-"""Deterministic chaos: seeded fault plans for the runtime itself.
+"""Deterministic chaos: seeded faults injected into the runtime itself.
 
 The rest of :mod:`repro.faults` injects faults into the *modelled*
 system -- crashes in schedules, corruption in simulated registers.  This
-module injects faults into the *runtime*: kill a worker process at the
-Kth dispatch, corrupt an on-disk cache entry, truncate a checkpoint
-journal mid-record.  Plans are seeded and consumed deterministically, so
-a chaos run is exactly reproducible -- and the differential campaign
-(:func:`chaos_campaign`, CLI ``repro chaos``) proves the headline
-property end to end: certificates, witnesses and exit codes under
-injected faults are **byte-equal** to the undisturbed sequential run's.
+module injects faults into the *runtime*: corrupt an on-disk cache
+entry, truncate a checkpoint journal mid-record.  Injection points are
+seeded, so a chaos run is exactly reproducible -- and the differential
+campaign (:func:`chaos_campaign`, CLI ``repro chaos``) proves the
+headline property end to end: certificates, witnesses and exit codes
+under injected faults are **byte-equal** to the undisturbed run's.
 
-Why byte-equality is even possible: worker tasks are pure functions of
-their payloads, the supervised pool retries lost shards and merges
-results by task index (never by arrival order), caches and checkpoints
-are accelerators that re-validate everything they serve, and the
-adversary construction itself is deterministic.  Killing a worker can
+Why byte-equality is even possible: caches and checkpoint journals are
+accelerators that re-validate everything they serve, and the adversary
+construction itself is deterministic.  A damaged accelerator can
 therefore cost only time.
 """
 
@@ -24,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.serialize import to_json
 from repro.model.process import Protocol
@@ -32,76 +29,7 @@ from repro.model.system import System
 from repro.obs.runtime import get_tracer
 
 #: Scenario names understood by :func:`chaos_campaign`.
-SCENARIOS = (
-    "worker-kill",
-    "poison-task",
-    "cache-corruption",
-    "journal-truncation",
-)
-
-
-class ChaosPlan:
-    """A deterministic fault plan consumed by the supervised pool.
-
-    ``kills`` maps a global dispatch sequence number to a kill mode
-    (``"kill-before"`` -- die before computing; ``"kill-after"`` -- die
-    after computing but before reporting, the nastier case).  ``hangs``
-    is a set of dispatch numbers whose worker wedges instead of dying
-    (only meaningful with a ``task_timeout``).  Each is consumed once:
-    the retried dispatch of the same task gets a fresh sequence number
-    and (absent another planned fault) runs clean.
-
-    ``poison`` is a set of *task indexes* that kill their worker on
-    every dispatch -- the repeat offender the quarantine path exists
-    for.  Poison directives are deliberately not consumed.
-    """
-
-    def __init__(
-        self,
-        kills: Optional[Dict[int, str]] = None,
-        hangs: Optional[Set[int]] = None,
-        poison: Optional[Set[int]] = None,
-    ):
-        self.kills = dict(kills or {})
-        self.hangs = set(hangs or ())
-        self.poison = set(poison or ())
-        #: Log of (dispatch_seq, task_index, directive) actually injected.
-        self.fired: List[Tuple[int, int, str]] = []
-
-    def directive(self, seq: int, task_index: int) -> Optional[str]:
-        """The fault to inject at this dispatch, or None."""
-        directive = None
-        if task_index in self.poison:
-            directive = "kill-after"
-        elif seq in self.kills:
-            directive = self.kills.pop(seq)
-        elif seq in self.hangs:
-            self.hangs.discard(seq)
-            directive = "hang"
-        if directive is not None:
-            self.fired.append((seq, task_index, directive))
-            get_tracer().event(
-                "chaos.injected", seq=seq, task=task_index,
-                directive=directive,
-            )
-        return directive
-
-
-def seeded_kill_plan(
-    seed: int, kills: int = 1, horizon: int = 16, mode: str = "kill-after"
-) -> ChaosPlan:
-    """Kill ``kills`` workers at seeded dispatch points within ``horizon``.
-
-    The same seed always produces the same plan, so a failing chaos run
-    is rerun exactly by naming its seed.
-    """
-    if mode not in ("kill-before", "kill-after"):
-        raise ValueError(f"unknown kill mode {mode!r}")
-    if not 0 <= kills <= horizon:
-        raise ValueError(f"need 0 <= kills <= horizon, got {kills}/{horizon}")
-    rng = random.Random(seed)
-    points = rng.sample(range(horizon), kills)
-    return ChaosPlan(kills={seq: mode for seq in points})
+SCENARIOS = ("cache-corruption", "journal-truncation")
 
 
 def corrupt_cache_entry(cache_dir, seed: int = 0) -> Optional[Path]:
@@ -152,12 +80,16 @@ def truncate_tail(path, drop_bytes: int) -> int:
 
 @dataclass
 class ChaosScenarioRow:
-    """One scenario's verdict: did the fault stay invisible in results?"""
+    """One scenario's verdict: did the fault stay invisible in results?
+
+    ``injected`` describes the faults that actually fired.  A scenario
+    that injected nothing proves nothing, so its row is never ``ok``.
+    """
 
     scenario: str
     ok: bool
     detail: str
-    injected: List[Tuple[int, int, str]] = field(default_factory=list)
+    injected: List[str] = field(default_factory=list)
 
 
 def _guarded_json(system: System, **kwargs) -> Tuple[str, str]:
@@ -180,21 +112,20 @@ def _guarded_json(system: System, **kwargs) -> Tuple[str, str]:
 def chaos_campaign(
     protocol: Protocol,
     workdir,
-    workers: int = 2,
     seed: int = 0,
-    kills: int = 1,
     scenarios: Sequence[str] = SCENARIOS,
     max_configs: int = 30_000,
     max_depth: Optional[int] = 60,
 ) -> List[ChaosScenarioRow]:
     """Differential chaos over one protocol: faults must not change results.
 
-    Every scenario computes the undisturbed sequential outcome first,
-    injects its fault into a parallel/resumed/corrupted variant, and
-    demands the serialized results be byte-equal.  ``workdir`` holds the
-    scenario's caches and journals (the caller owns its lifetime).
+    Every scenario computes the undisturbed outcome first, injects its
+    fault into a cached or resumed variant, and demands the serialized
+    results be byte-equal.  A scenario with nothing to damage (say, a
+    protocol whose queries never reach the cache) is reported as
+    vacuous, not passed.  ``workdir`` holds the scenario's caches and
+    journals (the caller owns its lifetime).
     """
-    from repro.parallel.sharded import WorkerPool
     from repro.resilience.checkpoint import load_checkpoint
 
     workdir = Path(workdir)
@@ -203,72 +134,38 @@ def chaos_campaign(
     base_status, base_json = _guarded_json(System(protocol), **common)
     rows: List[ChaosScenarioRow] = []
 
-    def verdict(scenario: str, status: str, payload: str, plan=None,
-                extra: str = "") -> None:
-        ok = status == base_status and payload == base_json
-        detail = (
-            f"{status}: byte-equal to undisturbed run"
-            if ok
-            else f"MISMATCH: {status} vs {base_status}"
-        )
-        if extra:
-            detail = f"{detail}; {extra}"
-        rows.append(
-            ChaosScenarioRow(
-                scenario=scenario,
-                ok=ok,
-                detail=detail,
-                injected=list(plan.fired) if plan is not None else [],
-            )
-        )
+    def verdict(
+        scenario: str, status: str, payload: str, injected: List[str]
+    ) -> None:
+        if status != base_status or payload != base_json:
+            ok, detail = False, f"MISMATCH: {status} vs {base_status}"
+        elif not injected:
+            ok, detail = False, "vacuous: no fault was injected"
+        else:
+            ok, detail = True, f"{status}: byte-equal to undisturbed run"
+        if injected:
+            detail = f"{detail}; {'; '.join(injected)}"
+        rows.append(ChaosScenarioRow(scenario, ok, detail, injected))
 
     for scenario in scenarios:
-        if scenario == "worker-kill":
-            plan = seeded_kill_plan(seed, kills=kills)
-            with WorkerPool(workers, chaos=plan) as pool:
-                status, payload = _guarded_json(
-                    System(protocol), workers=workers, pool=pool, **common
-                )
-            if not plan.fired:
-                # Every seeded kill point landed beyond the campaign's
-                # dispatch count.  Kill the first dispatch(es) instead:
-                # the differential must never be vacuous.
-                plan = ChaosPlan(
-                    kills={point: "kill-after" for point in range(kills)}
-                )
-                with WorkerPool(workers, chaos=plan) as pool:
-                    status, payload = _guarded_json(
-                        System(protocol), workers=workers, pool=pool,
-                        **common,
-                    )
-            verdict(
-                scenario, status, payload, plan,
-                extra=f"{len(plan.fired)} kill(s) injected",
-            )
-        elif scenario == "poison-task":
-            plan = ChaosPlan(poison={0})
-            with WorkerPool(workers, chaos=plan, max_retries=2) as pool:
-                status, payload = _guarded_json(
-                    System(protocol), workers=workers, pool=pool, **common
-                )
-            verdict(
-                scenario, status, payload, plan,
-                extra=f"{len(plan.fired)} poison kill(s), task 0 quarantined",
-            )
-        elif scenario == "cache-corruption":
+        if scenario == "cache-corruption":
             cache_dir = workdir / f"cache-{seed}"
             _guarded_json(System(protocol), cache_dir=cache_dir, **common)
             victim = corrupt_cache_entry(cache_dir, seed=seed)
+            if victim is None:
+                rows.append(ChaosScenarioRow(
+                    scenario=scenario,
+                    ok=False,
+                    detail="vacuous: the warm-up run stored no cache "
+                    "entries, so nothing was corrupted",
+                ))
+                continue
             status, payload = _guarded_json(
                 System(protocol), cache_dir=cache_dir, **common
             )
             verdict(
                 scenario, status, payload,
-                extra=(
-                    "no cache entries to corrupt"
-                    if victim is None
-                    else f"corrupted {victim.name}, recomputed + quarantined"
-                ),
+                [f"corrupted {victim.name}, recomputed + quarantined"],
             )
         elif scenario == "journal-truncation":
             journal = workdir / f"journal-{seed}.ckpt"
@@ -276,9 +173,10 @@ def chaos_campaign(
                 System(protocol), checkpoint=str(journal), **common
             )
             if status != base_status or payload != base_json:
-                verdict(scenario, status, payload)
+                verdict(scenario, status, payload, [])
                 continue
-            truncate_tail(journal, drop_bytes=1 + (seed % 7))
+            size = journal.stat().st_size
+            dropped = size - truncate_tail(journal, drop_bytes=1 + (seed % 7))
             progress = load_checkpoint(journal)
             status, payload = _guarded_json(
                 System(protocol), resume=progress, **common
@@ -286,7 +184,8 @@ def chaos_campaign(
             recovered = 0 if progress is None else len(progress.queries)
             verdict(
                 scenario, status, payload,
-                extra=f"resumed from {recovered} journaled answers",
+                [f"tore {dropped} tail byte(s), resumed from {recovered} "
+                 "journaled answers"],
             )
         else:
             rows.append(

@@ -73,14 +73,9 @@ def run_adversary_guarded(
     strict: bool = False,
     verify: bool = True,
     spec: str = "",
-    workers: int = 1,
     cache_dir=None,
     por: bool = False,
     incremental: bool = True,
-    pool=None,
-    max_retries: int = 2,
-    task_timeout=None,
-    chaos=None,
     checkpoint=None,
     kernel: str = "interp",
 ) -> AdversaryOutcome:
@@ -92,33 +87,24 @@ def run_adversary_guarded(
     them).  ``spec`` labels the partial-progress report so the CLI can
     refuse to resume a checkpoint against a different protocol.
 
-    ``workers``/``cache_dir``/``por`` configure the oracle's sharded
-    exploration engine, persistent valency cache and partial-order
-    reduction (:mod:`repro.parallel`, :mod:`repro.lint.independence`);
-    all three are transparent to the three-outcome contract -- errors
-    raised inside worker processes keep their types, payloads and
-    therefore their exit codes, and POR results are bit-identical.
-
-    Sharded runs execute on the supervised plane
-    (:mod:`repro.resilience.supervisor`): ``max_retries`` bounds how
-    often a lost shard is retried before being quarantined in-process,
-    ``task_timeout`` declares a wedged worker dead, ``chaos`` accepts a
-    deterministic fault plan (:mod:`repro.faults.chaos`), and ``pool``
-    shares an externally-owned :class:`repro.parallel.WorkerPool`.
+    ``cache_dir``/``por`` configure the oracle's persistent valency
+    cache and partial-order reduction (:mod:`repro.parallel`,
+    :mod:`repro.lint.independence`); both are transparent to the
+    three-outcome contract -- cached witnesses are replay-validated and
+    POR results are bit-identical.
 
     ``kernel`` selects the oracle's exploration engine
     (``"compiled"`` = the packed-integer batch kernel of
     :mod:`repro.kernel`, with automatic recorded fallback to the
-    interpreter where unsupported).  Like ``por`` and ``workers`` it is
-    transparent to the three-outcome contract: certificates, violation
-    witnesses and partial-progress reports are bit-identical.
+    interpreter where unsupported).  Like ``por`` it is transparent to
+    the three-outcome contract: certificates, violation witnesses and
+    partial-progress reports are bit-identical.
 
     ``checkpoint`` names a journal file persisted *live*
     (:class:`repro.resilience.CheckpointJournal`): every computed oracle
-    answer is flushed and fsynced as it happens, and sharded
-    explorations additionally snapshot BFS levels under
-    ``<checkpoint>.levels/`` -- so a SIGKILL at any moment leaves a
-    resumable file, not just budget exhaustion.
+    answer is flushed and fsynced as it happens, so a SIGKILL at any
+    moment leaves a resumable file, not just budget exhaustion.  The
+    journal holds a writer lock until the run returns or raises.
     """
     if resume is not None:
         entries = list(resume.queries)
@@ -127,7 +113,6 @@ def run_adversary_guarded(
         strict = resume.strict
     else:
         entries = []
-    checkpoint_dir = None
     if checkpoint is not None:
         from repro.resilience.checkpoint import CheckpointJournal
 
@@ -140,34 +125,26 @@ def run_adversary_guarded(
             strict=strict,
             entries=entries,
         )
-        checkpoint_dir = f"{checkpoint}.levels"
     else:
         journal = QueryJournal(entries)
-    owned_pool = None
-    if workers > 1 and pool is None:
-        from repro.parallel.sharded import WorkerPool
-
-        pool = owned_pool = WorkerPool(
-            workers,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            chaos=chaos,
+    try:
+        oracle = JournaledOracle(
+            system,
+            journal=journal,
+            budget=budget,
+            max_configs=max_configs,
+            max_depth=max_depth,
+            strict=strict,
+            cache_dir=cache_dir,
+            por=por,
+            incremental=incremental,
+            kernel=kernel,
         )
-    oracle = JournaledOracle(
-        system,
-        journal=journal,
-        budget=budget,
-        max_configs=max_configs,
-        max_depth=max_depth,
-        strict=strict,
-        workers=workers,
-        cache_dir=cache_dir,
-        pool=pool,
-        por=por,
-        incremental=incremental,
-        checkpoint_dir=checkpoint_dir,
-        kernel=kernel,
-    )
+    except BaseException:
+        # The journal's writer lock must not outlive a failed setup, or
+        # every later run on this path is refused as "open elsewhere".
+        journal.close()
+        raise
 
     def partial(note: str) -> PartialProgress:
         return PartialProgress(
@@ -193,7 +170,6 @@ def run_adversary_guarded(
         "adversary",
         protocol=system.protocol.name,
         n=system.protocol.n,
-        workers=workers,
         strict=strict,
         resumed=resume is not None,
     ):
@@ -249,11 +225,7 @@ def run_adversary_guarded(
             )
         finally:
             oracle.close()
-            close = getattr(journal, "close", None)
-            if close is not None:
-                close()
-            if owned_pool is not None:
-                owned_pool.close()
+            journal.close()
 
 
 def find_violation(

@@ -71,6 +71,9 @@ class QueryJournal:
         self.entries.append(entry)
         self.cursor = len(self.entries)
 
+    def close(self) -> None:
+        """Release what the journal holds (nothing, in memory)."""
+
 
 class JournaledOracle(ValencyOracle):
     """A valency oracle that records (or replays) every primitive answer.

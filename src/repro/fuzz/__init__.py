@@ -1,6 +1,6 @@
 """Protocol fuzzing: corpus generation, differential oracle, zoo.
 
-The five engines (sequential, sharded, POR, incremental, fault-injected)
+The five engines (sequential, POR, incremental cold and warm, compiled)
 must agree on every certificate, witness, verdict and exit code; the
 per-PR hypothesis differentials spot-check that claim on a few dozen
 automata.  This package industrializes the check into a corpus engine:
@@ -11,8 +11,8 @@ automata.  This package industrializes the check into a corpus engine:
   mutators (splice states, retarget transitions, swap op kinds,
   grow/shrink register sets);
 * :mod:`repro.fuzz.oracle` -- the cross-engine differential oracle:
-  every survivor runs through sequential, sharded, POR on/off,
-  incremental cold/warm and budget-guarded engines, and any divergence
+  every survivor runs through sequential, POR, incremental cold/warm,
+  compiled and budget-guarded engines, and any divergence
   in certificate bytes, witness replays, verdicts or exit codes is a
   finding;
 * :mod:`repro.fuzz.zoo` -- content-addressed persistence

@@ -57,7 +57,7 @@ def boring_reason(protocol: TableProtocol, reach=None) -> Optional[str]:
 
     Built on abstract reachability: an automaton whose *abstractly*
     reachable states never take a shared-memory step cannot distinguish
-    any pair of engines, so exploring it seven times is pure waste.
+    any pair of engines, so running it through the matrix is pure waste.
     This is value-aware and therefore strictly stronger than the old
     CFG-based check (a rule state only reachable via a transition on an
     impossible response is dead here, live in the CFG); it stays sound
@@ -151,7 +151,6 @@ def _jline(payload: Dict[str, Any]) -> str:
 def run_campaign(
     config: CampaignConfig,
     *,
-    pool=None,
     journal_path=None,
 ) -> CampaignResult:
     """Execute one deterministic fuzzing campaign.
@@ -230,7 +229,6 @@ def run_campaign(
             engines,
             max_configs=config.max_configs,
             max_depth=config.max_depth,
-            pool=pool,
             guarded=config.guarded,
             guarded_budget=config.guarded_budget,
         )
@@ -249,7 +247,7 @@ def run_campaign(
         if not report.ok:
             stats["divergent"] += 1
             record["zoo"] = _persist_divergence(
-                protocol, report, config, engines, zoo, pool,
+                protocol, report, config, engines, zoo,
                 stats, result, origin, digest,
             )
         result.journal_lines.append(_jline(record))
@@ -310,7 +308,6 @@ def _persist_divergence(
     config: CampaignConfig,
     engines: Tuple[EngineSpec, ...],
     zoo: Zoo,
-    pool,
     stats: Dict[str, int],
     result: CampaignResult,
     origin: str,
@@ -340,7 +337,6 @@ def _persist_divergence(
             shrink_matrix,
             max_configs=config.max_configs,
             max_depth=config.max_depth,
-            pool=pool,
             guarded=config.guarded and first.kind in ("verdict", "exit-code"),
             guarded_budget=config.guarded_budget,
         )
@@ -354,9 +350,8 @@ def _persist_divergence(
             protocol, still_diverges, max_passes=config.shrink_passes
         )
     except ValueError:
-        # The reduced matrix no longer reproduces (e.g. a pool-timing
-        # artefact) -- archive the unshrunk specimen rather than drop
-        # the finding.
+        # The reduced matrix no longer reproduces -- archive the
+        # unshrunk specimen rather than drop the finding.
         minimized = protocol
     provenance = {
         "seed": config.seed,

@@ -1,4 +1,4 @@
-"""The cross-engine differential oracle: six engines, one truth.
+"""The cross-engine differential oracle: five engines, one truth.
 
 Each surviving specimen runs through every engine configuration and the
 results are compared *as bytes*: exploration fingerprints (decided
@@ -11,9 +11,9 @@ with the sequential baseline, caught on a five-state automaton instead
 of inside a lemma driver.
 
 The engine matrix mirrors the proof-preservation claims the repo makes
-(THEORY.md): sharded-vs-sequential, POR on/off, incremental cold/warm,
-the compiled packed-integer kernel (:mod:`repro.kernel`), and
-budget-guarded runs must all be bit-identical.  ``sabotage`` exists
+(THEORY.md): POR on/off, incremental cold/warm, the compiled
+packed-integer kernel (:mod:`repro.kernel`), and budget-guarded runs
+must all be bit-identical to the sequential interpreter.  ``sabotage`` exists
 so the harness can prove *itself* non-vacuous: a deterministic
 perturbation of one engine's fingerprint must be caught, minimized and
 persisted (the seeded known-divergence fixture in the tests and the
@@ -57,7 +57,6 @@ class EngineSpec:
     """
 
     name: str
-    workers: int = 1
     por: bool = False
     incremental: bool = False
     warm: bool = False
@@ -65,10 +64,10 @@ class EngineSpec:
     kernel: str = "interp"
 
 
-#: The default matrix: the six proof-preservation claims, one row each.
+#: The default matrix: the sequential baseline plus one row per
+#: proof-preservation claim.
 DEFAULT_ENGINES: Tuple[EngineSpec, ...] = (
     EngineSpec("sequential"),
-    EngineSpec("sharded", workers=2),
     EngineSpec("por", por=True),
     EngineSpec("incremental", incremental=True),
     EngineSpec("incremental-warm", incremental=True, warm=True),
@@ -115,7 +114,7 @@ def input_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 def fresh_system(protocol: TableProtocol) -> System:
     """Rebuild the protocol from its ctor recipe -- a genuinely fresh
-    system, as a worker process or a later run would see it."""
+    system, as a later run would see it."""
     args, kwargs = protocol._ctor_args
     return System(type(protocol)(*args, **kwargs))
 
@@ -152,7 +151,6 @@ def engine_fingerprint(
     *,
     max_configs: int = 20_000,
     max_depth: Optional[int] = None,
-    pool=None,
 ) -> Dict[str, Any]:
     """The canonical result of running one engine over one specimen.
 
@@ -166,30 +164,15 @@ def engine_fingerprint(
     n = system.protocol.n
     pids = frozenset(range(n))
     engine = IncrementalEngine(system) if spec.incremental else None
-    if spec.workers > 1:
-        from repro.parallel.sharded import ShardedExplorer
-
-        explorer = ShardedExplorer(
-            system,
-            workers=spec.workers,
-            max_configs=max_configs,
-            max_depth=max_depth,
-            strict=False,
-            pool=pool,
-            por=spec.por,
-            engine=engine,
-            kernel=spec.kernel,
-        )
-    else:
-        explorer = Explorer(
-            system,
-            max_configs=max_configs,
-            max_depth=max_depth,
-            strict=False,
-            por=spec.por,
-            engine=engine,
-            kernel=spec.kernel,
-        )
+    explorer = Explorer(
+        system,
+        max_configs=max_configs,
+        max_depth=max_depth,
+        strict=False,
+        por=spec.por,
+        engine=engine,
+        kernel=spec.kernel,
+    )
     replay = fresh_system(protocol)
     explorations: List[Dict[str, Any]] = []
     passes = 2 if spec.warm else 1
@@ -211,9 +194,8 @@ def engine_fingerprint(
                 "truncated": bool(result.truncated),
                 "witnesses_replay": bool(result.witnesses_replay(replay)),
             })
-    # Always release the engine: a shared pool survives (ShardedExplorer
-    # only closes a pool it owns) and the compiled kernel's spill
-    # segments / mmap handles are dropped eagerly.
+    # Always release the engine: the compiled kernel's spill segments /
+    # mmap handles are dropped eagerly.
     explorer.close()
     fingerprint = {"engine": spec.name, "explorations": explorations}
     if spec.sabotage:
@@ -228,7 +210,7 @@ def abstract_soundness_check(
     max_depth: Optional[int] = None,
     sabotage: bool = False,
 ) -> Optional[Divergence]:
-    """The seventh differential leg: abstract ⊇ concrete, checked live.
+    """The abstract-soundness leg: abstract ⊇ concrete, checked live.
 
     For every input vector of the standard sweep, run the table
     fixpoint for that unanimous/mixed input set and walk the concrete
@@ -305,7 +287,6 @@ def guarded_outcome(
     max_configs: int = 4_000,
     max_depth: Optional[int] = 40,
     budget_steps: Optional[int] = None,
-    pool=None,
 ) -> Dict[str, Any]:
     """Run the guarded Theorem 1 adversary under one engine config.
 
@@ -326,10 +307,8 @@ def guarded_outcome(
         budget=budget,
         max_configs=max_configs,
         max_depth=max_depth,
-        workers=spec.workers,
         por=spec.por,
         incremental=spec.incremental,
-        pool=pool,
         kernel=spec.kernel,
     )
     payload: Any
@@ -357,7 +336,6 @@ def differential(
     *,
     max_configs: int = 20_000,
     max_depth: Optional[int] = None,
-    pool=None,
     guarded: bool = False,
     guarded_budget: Optional[int] = None,
 ) -> DifferentialReport:
@@ -377,7 +355,7 @@ def differential(
     baseline_spec = engines[0]
     baseline = engine_fingerprint(
         protocol, baseline_spec,
-        max_configs=max_configs, max_depth=max_depth, pool=pool,
+        max_configs=max_configs, max_depth=max_depth,
     )
     report.baseline = baseline
     baseline_bytes = fingerprint_bytes(baseline)
@@ -412,7 +390,7 @@ def differential(
             continue
         fingerprint = engine_fingerprint(
             protocol, spec,
-            max_configs=max_configs, max_depth=max_depth, pool=pool,
+            max_configs=max_configs, max_depth=max_depth,
         )
         got = fingerprint_bytes(fingerprint)
         report.fingerprints[spec.name] = _digest16(got)
@@ -426,7 +404,7 @@ def differential(
     if guarded:
         base_outcome = guarded_outcome(
             protocol, baseline_spec,
-            budget_steps=guarded_budget, pool=pool,
+            budget_steps=guarded_budget,
         )
         report.baseline["guarded"] = {
             "status": base_outcome["status"],
@@ -437,7 +415,7 @@ def differential(
             if spec.warm or spec.sabotage:
                 continue  # warm legs re-use the exploration engine only
             outcome = guarded_outcome(
-                protocol, spec, budget_steps=guarded_budget, pool=pool,
+                protocol, spec, budget_steps=guarded_budget,
             )
             if outcome["status"] != base_outcome["status"] or (
                 outcome["payload"] != base_outcome["payload"]

@@ -26,10 +26,9 @@ kernel* over packed integers:
   (``REPRO_KERNEL_SPILL_THRESHOLD``), with quarantine-on-corruption.
 
 Selection is by the ``kernel="compiled"|"interp"`` parameter threaded
-through ``Explorer``/``ShardedExplorer``/``ValencyOracle``/
-``space_lower_bound``/``run_adversary_guarded`` and the CLI
-``--kernel`` flag.  Unsupported systems (faulty-memory wrappers,
-sharded multi-worker merges) fall back to the interpreter with the
+through ``Explorer``/``ValencyOracle``/``space_lower_bound``/
+``run_adversary_guarded`` and the CLI ``--kernel`` flag.  Unsupported
+systems (faulty-memory wrappers) fall back to the interpreter with the
 reason recorded in ``kernel.fallback.*`` counters and a trace event.
 """
 

@@ -57,7 +57,6 @@ FIXED = 1
 #: Fallback reason slugs, also used as ``kernel.fallback.<slug>`` metric
 #: suffixes and recorded in trace events.
 REASON_SYSTEM_SUBCLASS = "system-subclass"
-REASON_SHARDED = "sharded-workers"
 
 
 def _narrow_bits(universe_size: int) -> int:

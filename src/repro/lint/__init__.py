@@ -41,7 +41,6 @@ from repro.lint.selfcheck import (
     check_determinism,
     check_kernel_hot_path,
     check_picklable_errors,
-    check_service_db,
     check_trace_schema,
     check_worker_shared_state,
     lint_repository,
@@ -58,7 +57,6 @@ __all__ = [
     "check_determinism",
     "check_kernel_hot_path",
     "check_picklable_errors",
-    "check_service_db",
     "check_trace_schema",
     "check_worker_shared_state",
     "consensus_impossible",

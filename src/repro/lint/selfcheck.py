@@ -38,12 +38,6 @@ they were enforced only by review:
   the resume path to trip over (:func:`check_checkpoint_fsync`).
   Append-mode journals (flushed per record) are exempt; anything else
   opts out with ``# lint: allow-unsynced-write (reason)``.
-* **Service ledger discipline.**  The result ledger's schema is
-  versioned in its ``meta`` table; the version check only protects
-  writes that go through :mod:`repro.service.db`.  Raw SQL calls
-  elsewhere under ``repro.service`` are flagged
-  (:func:`check_service_db`); escapes use
-  ``# lint: allow-raw-sql (reason)``.
 
 All checks are AST-based (:mod:`ast` on source files, no imports of the
 checked code), so the self-lint runs in milliseconds and works on any
@@ -79,17 +73,6 @@ SHARED_STATE_PRAGMA = "lint: allow-shared-state"
 
 #: The pragma that whitelists one non-durable write line.
 FSYNC_PRAGMA = "lint: allow-unsynced-write"
-
-#: The one module allowed to speak SQL: the versioned-schema layer.
-SERVICE_DB_MODULE = "db.py"
-
-#: The pragma that whitelists one raw SQL call outside that layer.
-RAW_SQL_PRAGMA = "lint: allow-raw-sql"
-
-#: Call names that reach SQLite directly.
-RAW_SQL_CALLS = frozenset({
-    "execute", "executemany", "executescript",
-})
 
 #: Constructors whose module-level call produces a mutable container.
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -596,64 +579,6 @@ def check_trace_schema(root: Path) -> LintReport:
     return report
 
 
-# -- service ledger discipline --------------------------------------------
-
-
-def check_service_db(root: Path) -> LintReport:
-    """All service SQL must go through the versioned-schema layer.
-
-    The result ledger records its schema version in ``meta`` and
-    refuses newer ledgers; that promise only holds if every statement
-    runs through :mod:`repro.service.db` (whose ``_ensure_schema`` ran
-    first).  A raw ``execute``/``executemany``/``executescript`` or a
-    direct ``sqlite3.connect`` anywhere else under ``repro.service``
-    bypasses the version check -- it would happily write into a ledger
-    laid out by a different release.  A deliberate escape (e.g. a
-    read-only debugging helper) opts in with
-    ``# lint: allow-raw-sql (reason)`` on the call line.  Trees without
-    a ``service`` package (seeded lint fixtures) pass clean.
-    """
-    report = LintReport()
-    package_dir = root / "service"
-    if not package_dir.is_dir():
-        return report
-    for path in _python_files(package_dir):
-        if path.name == SERVICE_DB_MODULE:
-            continue
-        tree, lines = _parse(path)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            sqlite_connect = (
-                name == "connect"
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "sqlite3"
-            )
-            if name not in RAW_SQL_CALLS and not sqlite_connect:
-                continue
-            line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-            if RAW_SQL_PRAGMA in line:
-                continue
-            what = "sqlite3.connect" if sqlite_connect else f".{name}(...)"
-            report.add(Diagnostic(
-                code="service-raw-sql",
-                severity="error",
-                message=(
-                    f"raw {what} outside repro/service/"
-                    f"{SERVICE_DB_MODULE}: ledger statements must go "
-                    "through the versioned-schema layer (ResultLedger) "
-                    "so the meta schema_version check cannot be "
-                    "bypassed; mark a deliberate escape with "
-                    f"`# {RAW_SQL_PRAGMA} (reason)`"
-                ),
-                path=_relative(path, root),
-                line=node.lineno,
-            ))
-    return report
-
-
 def lint_repository(root: Optional[Path] = None) -> LintReport:
     """Run every self-check against ``root`` (default: the live package)."""
     target = Path(root) if root is not None else package_root()
@@ -667,7 +592,6 @@ def lint_repository(root: Optional[Path] = None) -> LintReport:
         report.extend(check_kernel_hot_path(target))
         report.extend(check_worker_shared_state(target))
         report.extend(check_checkpoint_fsync(target))
-        report.extend(check_service_db(target))
     metrics = get_metrics()
     metrics.counter("lint.self_runs").inc()
     metrics.counter("lint.diagnostics").inc(len(report))

@@ -40,7 +40,7 @@ class Configuration:
 
     def __getstate__(self):
         """Pickle the fields only: ``hash()`` is salted per interpreter
-        process, so a cached hash must never travel to worker processes."""
+        process, so a cached hash must never travel to another process."""
         return (self.states, self.memory, self.coins)
 
     def __setstate__(self, state) -> None:

@@ -32,7 +32,8 @@ class BitTape:
     """A tape reading from explicit per-process bit lists, then ``default``.
 
     A class (not a closure) so systems carrying explicit tapes stay
-    picklable for the sharded explorer's spawned workers.
+    picklable and have a stable identity for the valency cache's
+    fingerprints.
     """
 
     def __init__(self, bits_per_pid: Sequence[Sequence[int]], default: int = 0):

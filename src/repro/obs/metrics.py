@@ -1,14 +1,10 @@
-"""Process-safe metrics: counters, gauges, fixed-bucket histograms.
+"""In-process metrics: counters, gauges, fixed-bucket histograms.
 
-The adversary stack is a tree of engines (oracle -> explorer -> worker
-processes), so the registry is built around *mergeable snapshots*: a
-worker accumulates into its own :class:`MetricsRegistry`, ships a plain
-``snapshot()`` dict across the process boundary, and the coordinator
-folds it in with :meth:`MetricsRegistry.merge`.  Every merge operation
-commutes -- counters add, gauges take the max, histograms have bucket
-edges fixed at creation so their count vectors add element-wise --
-which makes the merged result deterministic no matter how the pool
-interleaves worker completions.
+The adversary stack is a tree of engines (theorem -> oracle ->
+explorer), all accumulating into one ambient :class:`MetricsRegistry`.
+``snapshot()`` renders it as a plain, key-sorted dict -- counters,
+max-gauges and histograms whose bucket edges are fixed at creation --
+so two runs of the same construction produce equal snapshots.
 
 Instrumented hot loops hoist their handles once
 (``registry.counter("explorer.edges")``) and pay one attribute
@@ -61,8 +57,7 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram: ``counts[i]`` tallies values <= ``edges[i]``,
     with one final unbounded bucket.  The edges never change after
-    construction, so two histograms of the same name always merge by
-    element-wise addition."""
+    construction."""
 
     __slots__ = ("edges", "counts", "count", "sum", "min", "max")
 
@@ -113,7 +108,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Create-or-get instrument store with deterministic snapshot/merge."""
+    """Create-or-get instrument store with a deterministic snapshot."""
 
     #: Distinguishes live registries from :class:`NullRegistry`.
     enabled = True
@@ -149,7 +144,7 @@ class MetricsRegistry:
             )
         return instrument
 
-    # -- snapshot / merge ---------------------------------------------------
+    # -- snapshot -----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """A plain, picklable, JSON-safe dict of every instrument.
 
@@ -176,34 +171,6 @@ class MetricsRegistry:
                 for name, hist in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a ``snapshot()`` dict (e.g. a worker shard) into this
-        registry.  Commutative and associative: merging shards in any
-        completion order yields the same totals."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            if value is not None:
-                self.gauge(name).set_max(value)
-        for name, body in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, tuple(body["edges"]))
-            if list(hist.edges) != list(body["edges"]):
-                raise ValueError(
-                    f"histogram {name!r} merge with mismatched edges"
-                )
-            for index, count in enumerate(body["counts"]):
-                hist.counts[index] += int(count)
-            hist.count += int(body["count"])
-            hist.sum += body["sum"]
-            if body["min"] is not None and (
-                hist.min is None or body["min"] < hist.min
-            ):
-                hist.min = body["min"]
-            if body["max"] is not None and (
-                hist.max is None or body["max"] > hist.max
-            ):
-                hist.max = body["max"]
 
     def reset(self) -> None:
         self._counters.clear()
@@ -261,9 +228,6 @@ class NullRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        pass
 
     def reset(self) -> None:
         pass

@@ -18,9 +18,7 @@ a stack of contexts:
 Instrumented call sites fetch handles at operation start
 (``get_metrics().counter(...)``), so swaps only take effect at
 operation boundaries -- which is exactly the granularity the
-differential tests compare.  Worker processes never see the parent's
-observation; they accumulate into private registries and ship snapshot
-shards back (see :mod:`repro.parallel.worker`).
+differential tests compare.
 """
 
 from __future__ import annotations

@@ -77,10 +77,10 @@ def validate_record(record: Any, line: Optional[int] = None) -> str:
     version = record.get("v")
     if version != SCHEMA_VERSION:
         if isinstance(version, int) and version > SCHEMA_VERSION:
-            # A journal from a newer writer (e.g. the result ledger
-            # reading journals recorded by a later daemon): not corrupt,
-            # just unreadable here.  Surfaces render the one-line
-            # version verdict instead of a corruption diagnosis.
+            # A journal from a newer writer (recorded by a later
+            # release): not corrupt, just unreadable here.  Surfaces
+            # render the one-line version verdict instead of a
+            # corruption diagnosis.
             raise SchemaTooNew(
                 f"journal schema v{version} > supported "
                 f"v{SCHEMA_VERSION}{where}",

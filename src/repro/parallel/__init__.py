@@ -1,17 +1,14 @@
-"""Parallel sharded exploration and the persistent valency cache.
+"""The persistent valency cache and its run-stable fingerprints.
 
-The scaling substrate for the adversary constructions: the valency
-oracle's reachability queries dominate every lemma driver, so this
-package makes them (a) parallel -- :class:`ShardedExplorer` partitions
-BFS frontiers by canonical-key hash across a spawn-safe
-``multiprocessing`` pool with a deterministic merge that is bit-identical
-to the sequential explorer -- and (b) persistent --
-:class:`ValencyCache` content-addresses exploration results on disk so
-repeated ``can_decide`` queries across runs become lookups.
+The valency oracle's reachability queries dominate every lemma driver,
+so :class:`ValencyCache` content-addresses exploration results on disk
+and repeated ``can_decide`` queries across runs become lookups.  The
+cache directory is guarded by an advisory lock, so two CLI processes
+may share one.
 
-Wire-up points: ``ValencyOracle(system, workers=N, cache_dir=...)``,
-``space_lower_bound(..., workers=N, cache_dir=...)``, the
-``--workers``/``--cache-dir`` CLI flags, and ``repro cache stats|clear``.
+Wire-up points: ``ValencyOracle(system, cache_dir=...)``,
+``space_lower_bound(..., cache_dir=...)``, the ``--cache-dir`` CLI flag,
+and ``repro cache stats|clear``.
 """
 
 from repro.parallel.cache import (
@@ -27,14 +24,11 @@ from repro.parallel.fingerprint import (
     protocol_fingerprint,
     stable_digest,
 )
-from repro.parallel.sharded import ShardedExplorer, WorkerPool
 
 __all__ = [
     "CACHE_FORMAT",
-    "ShardedExplorer",
     "UnstableKeyError",
     "ValencyCache",
-    "WorkerPool",
     "decode_entry",
     "default_cache_dir",
     "encode_entry",

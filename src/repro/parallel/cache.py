@@ -24,8 +24,8 @@ least-recently-used eviction on file mtimes, which ``load`` refreshes.
 Writes are atomic (temp file + ``os.replace``), so a crashed writer
 leaves no half-written entry under the final name.
 
-Multiple processes may share one cache directory (a serve daemon plus
-ad-hoc CLI runs is the normal shape): mutations -- store + its LRU
+Multiple processes may share one cache directory (two CLI runs with
+the same ``--cache-dir``): mutations -- store + its LRU
 eviction pass, and ``clear`` -- are serialized by an advisory
 ``fcntl.flock`` on ``<base>/.lock``, and the eviction census skips
 in-flight ``.tmp-*`` names, so one writer's eviction can neither delete
@@ -114,8 +114,8 @@ class ValencyCache:
     def _write_lock(self):
         """Advisory exclusive lock serializing mutations across processes.
 
-        Two concurrent writers (a serve daemon job plus a CLI run on the
-        same ``--cache-dir``) must not interleave a store's
+        Two concurrent writers (two CLI runs on the same
+        ``--cache-dir``) must not interleave a store's
         temp-write/rename with another store's eviction pass: the census
         would count (and could unlink) the in-flight temp file, turning
         the second writer's ``os.replace`` into a lost entry.  The lock

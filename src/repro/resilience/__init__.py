@@ -1,25 +1,16 @@
-"""Supervision and crash-consistency for campaign execution.
+"""Crash-consistency for adversary runs.
 
 The paper's lower bound is proved against an adversary that crashes
 processes at the worst possible moment; this package makes the *runtime*
-survive the same treatment.  Every campaign must end in a certificate, a
-replayable violation, or a resumable checkpoint -- even when worker
-processes are OOM-killed, wedge, or the coordinator itself dies mid-run:
+survive the same treatment.  Every run must end in a certificate, a
+replayable violation, or a resumable checkpoint -- even when the process
+itself dies mid-run:
 
-* :mod:`repro.resilience.supervisor` -- :class:`SupervisedPool`, the
-  crash-tolerant execution plane behind
-  :class:`repro.parallel.WorkerPool`: per-task async dispatch with
-  liveness and deadline tracking, worker respawn, deterministic capped
-  exponential retry backoff, poison-task quarantine (re-run
-  in-process so the exit-code contract holds), and graceful degradation
-  down to sequential execution when respawns keep failing;
-* :mod:`repro.resilience.checkpoint` -- crash-consistent campaign
-  state: :class:`CheckpointJournal` persists every computed oracle
-  answer to an append-only JSONL file (atomic rewrite on open, flush +
-  fsync per record), :func:`load_checkpoint` recovers the intact prefix
-  of a torn journal, and :class:`LevelCheckpoint` snapshots BFS level
-  state atomically so a SIGKILL mid-exploration resumes at the last
-  level boundary instead of the last query boundary.
+* :mod:`repro.resilience.checkpoint` -- crash-consistent run state:
+  :class:`CheckpointJournal` persists every computed oracle answer to an
+  append-only JSONL file (atomic rewrite on open, flush + fsync per
+  record, one writer per path), and :func:`load_checkpoint` recovers
+  the intact prefix of a torn journal.
 
 The deterministic chaos harness that proves all of this preserves
 results bit-for-bit lives in :mod:`repro.faults.chaos` (CLI:
@@ -31,26 +22,18 @@ from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
     CheckpointJournal,
-    LevelCheckpoint,
     acquire_journal_lock,
     atomic_write_bytes,
     atomic_write_text,
     check_journal_unlocked,
     load_checkpoint,
 )
-from repro.resilience.supervisor import (
-    KILL_EXIT_CODE,
-    SupervisedPool,
-)
 
 __all__ = [
     "CHECKPOINT_KIND",
     "CHECKPOINT_VERSION",
     "CheckpointJournal",
-    "KILL_EXIT_CODE",
-    "LevelCheckpoint",
     "ResilienceError",
-    "SupervisedPool",
     "acquire_journal_lock",
     "atomic_write_bytes",
     "atomic_write_text",

@@ -1,28 +1,17 @@
-"""Crash-consistent campaign state: journals and level checkpoints.
+"""Crash-consistent run state: the live checkpoint journal.
 
-A guarded adversary run has two kinds of resumable state, at two
-granularities:
+A guarded adversary run's resumable state is the **query journal** --
+the sequence of oracle answers driving the deterministic construction
+(:mod:`repro.faults.resume`).  This module persists it *live*:
+:class:`CheckpointJournal` appends one JSONL line per computed answer,
+flushed and fsynced, so a SIGKILL at any moment loses at most the
+record being written.  :func:`load_checkpoint` recovers the intact
+prefix of a torn journal (and still reads the legacy whole-file JSON
+checkpoints the CLI used to write on budget exhaustion).
 
-* the **query journal** -- the sequence of oracle answers driving the
-  deterministic construction (:mod:`repro.faults.resume`).  This module
-  persists it *live*: :class:`CheckpointJournal` appends one JSONL line
-  per computed answer, flushed and fsynced, so a SIGKILL at any moment
-  loses at most the record being written.  :func:`load_checkpoint`
-  recovers the intact prefix of a torn journal (and still reads the
-  legacy whole-file JSON checkpoints the CLI used to write on budget
-  exhaustion).
-* the **BFS level state** inside one oracle query -- for large
-  explorations a single query can dwarf the whole journal, so
-  :class:`LevelCheckpoint` snapshots the explorer's frontier at level
-  boundaries (atomic pickle: temp file + fsync + ``os.replace``, the
-  ``ValencyCache`` discipline).  A resumed exploration restarts at the
-  last completed level instead of level zero.
-
-Neither artifact is an authority: a journal replays answers that the
-oracle re-validates by schedule replay, and a level snapshot whose
-parameter token does not match the live query is quarantined and
-ignored, falling back to a fresh exploration.  Corruption can cost
-time, never correctness.
+The journal is not an authority: it replays answers that the oracle
+re-validates by schedule replay, so corruption can cost time, never
+correctness.
 """
 
 from __future__ import annotations
@@ -30,10 +19,9 @@ from __future__ import annotations
 import io
 import json
 import os
-import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ResilienceError
 from repro.faults.resume import PartialProgress, QueryJournal, ResumeError
@@ -50,9 +38,6 @@ CHECKPOINT_KIND = "adversary-checkpoint"
 #: Journal layout version; bumping it orphans older journals (they are
 #: refused with a clear error, never misread).
 CHECKPOINT_VERSION = 1
-
-#: The ``kind`` tag inside a pickled BFS level snapshot.
-LEVEL_KIND = "bfs-level-checkpoint"
 
 
 # -- atomic file primitives ---------------------------------------------------
@@ -106,8 +91,8 @@ def acquire_journal_lock(path: os.PathLike) -> int:
     """Take the writer lock guarding one checkpoint journal path.
 
     The journal format tolerates exactly one torn *final* line -- the
-    artifact of a single writer dying mid-append.  Two live writers (a
-    daemon job plus a CLI ``--resume`` of the same path) could interleave
+    artifact of a single writer dying mid-append.  Two live writers (two
+    CLI runs with ``--resume`` of the same path) could interleave
     appends and produce *interior* tears no reader can distinguish from
     corruption, so concurrent opens are refused outright: the second
     opener gets a clean :class:`~repro.errors.ResilienceError` naming
@@ -394,91 +379,3 @@ def _load_jsonl(path: Path, raw: str) -> Optional[PartialProgress]:
             "checkpoint.torn_tail", path=str(path), recovered=len(entries)
         )
     return _progress_from_header(header, entries)
-
-
-# -- BFS level checkpoints ----------------------------------------------------
-
-
-class LevelCheckpoint:
-    """Atomic snapshots of BFS level state, guarded by a parameter token.
-
-    The explorer saves ``(token, state)`` at level boundaries; a
-    restarted exploration calls :meth:`load` with its own token and gets
-    the state back only if the token matches byte-for-byte -- the token
-    encodes everything the level state depends on (root key, pids,
-    stop-set, limits, POR), so a snapshot can never leak across queries
-    or parameter changes.  Corrupt or mismatched snapshots are
-    quarantined to ``*.corrupt`` and ignored.
-
-    ``every`` throttles the write cost: only every Nth completed level
-    is persisted (the last completed level is always recoverable as of
-    the most recent save).
-    """
-
-    def __init__(self, path: os.PathLike, every: int = 1):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.path = Path(path)
-        self.every = every
-        self._saves_offered = 0
-
-    def save(self, token: Tuple, state: Any) -> bool:
-        """Persist one level snapshot; False when throttled by ``every``."""
-        self._saves_offered += 1
-        if (self._saves_offered - 1) % self.every != 0:
-            return False
-        blob = pickle.dumps(
-            {"kind": LEVEL_KIND, "v": CHECKPOINT_VERSION,
-             "token": token, "state": state},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        atomic_write_bytes(self.path, blob)
-        get_metrics().counter("checkpoint.level_saves").inc()
-        return True
-
-    def load(self, token: Tuple) -> Optional[Any]:
-        """The saved state for ``token``, or None (quarantining defects)."""
-        try:
-            blob = self.path.read_bytes()
-        except OSError:
-            return None
-        try:
-            payload = pickle.loads(blob)
-            if not isinstance(payload, dict):
-                raise ValueError("snapshot is not a dict")
-            if payload.get("kind") != LEVEL_KIND:
-                raise ValueError(f"bad kind {payload.get('kind')!r}")
-            if payload.get("v") != CHECKPOINT_VERSION:
-                raise ValueError(f"bad version {payload.get('v')!r}")
-        except Exception as defect:  # noqa: BLE001 - any defect quarantines
-            self._quarantine(str(defect))
-            return None
-        if payload.get("token") != token:
-            # A different query's snapshot under our path: parameter or
-            # protocol change.  Stale, not corrupt -- just ignore it.
-            get_tracer().event(
-                "checkpoint.level_stale", path=str(self.path)
-            )
-            return None
-        get_metrics().counter("checkpoint.level_loads").inc()
-        get_tracer().event("checkpoint.level_resumed", path=str(self.path))
-        return payload["state"]
-
-    def _quarantine(self, defect: str) -> None:
-        target = self.path.with_suffix(self.path.suffix + ".corrupt")
-        try:
-            os.replace(self.path, target)
-        except OSError:
-            pass
-        get_tracer().event(
-            "checkpoint.level_quarantined",
-            path=str(self.path),
-            defect=defect,
-        )
-
-    def clear(self) -> None:
-        """Remove the snapshot (the exploration completed)."""
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass

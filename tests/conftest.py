@@ -1,45 +1,20 @@
-"""Shared fixtures: the tier-1 suite is parameterised over the parallel
-exploration engine.
+"""Shared fixtures.
 
-``--workers N`` (or ``REPRO_TEST_WORKERS``) selects how many worker
-processes the parallel tests drive; ``--cache-dir`` pins the valency
-cache tests to a directory instead of per-test tmp dirs.  A single
-session-scoped :class:`repro.parallel.WorkerPool` is shared by every
-parallel test so the suite pays the spawn cost once.
+``--cache-dir`` pins the valency cache tests to a directory instead of
+per-test tmp dirs, so a second pass of the cache tests runs warm
+against the entries the first pass stored.
 """
-
-import os
 
 import pytest
 
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("REPRO_TEST_WORKERS", "2")),
-        help="worker processes for the parallel exploration tests",
-    )
-    parser.addoption(
         "--cache-dir",
         default=None,
         help="valency cache directory for the cache tests "
         "(default: per-test tmp dirs)",
     )
-
-
-@pytest.fixture(scope="session")
-def workers(request):
-    return max(2, request.config.getoption("--workers"))
-
-
-@pytest.fixture(scope="session")
-def worker_pool(workers):
-    from repro.parallel import WorkerPool
-
-    pool = WorkerPool(workers)
-    yield pool
-    pool.close()
 
 
 @pytest.fixture

@@ -79,14 +79,12 @@ class TestSabotage:
         assert divergence.kind == "soundness"
         assert "outside the abstract state set" in divergence.detail
 
-    def test_differential_matrix_catches_injected_unsoundness(self, worker_pool):
+    def test_differential_matrix_catches_injected_unsoundness(self):
         protocol = SPECIMENS[0].build()
         engines = DEFAULT_ENGINES + (
             EngineSpec("sabotaged", sabotage=ABSINT_UNSOUND),
         )
-        report = differential(
-            protocol, engines, max_configs=5_000, pool=worker_pool
-        )
+        report = differential(protocol, engines, max_configs=5_000)
         assert not report.ok
         [finding] = [d for d in report.divergences if d.kind == "soundness"]
         assert ABSINT_UNSOUND in finding.detail
@@ -182,11 +180,9 @@ class TestCodecNarrowing:
             FIELD_BITS * program.codec.field_count
         ) // 8
 
-    def test_narrowed_kernel_agrees_with_every_engine(self, worker_pool):
+    def test_narrowed_kernel_agrees_with_every_engine(self):
         protocol = generate_protocol(random.Random(7), SMALL)
-        report = differential(
-            protocol, DEFAULT_ENGINES, max_configs=5_000, pool=worker_pool
-        )
+        report = differential(protocol, DEFAULT_ENGINES, max_configs=5_000)
         assert report.ok, "\n".join(d.describe() for d in report.divergences)
 
     def test_out_of_universe_intern_fails_loudly(self):

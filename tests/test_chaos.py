@@ -1,47 +1,22 @@
 """The chaos differential: injected runtime faults must be invisible.
 
-``chaos_campaign`` computes the undisturbed sequential outcome, then
-re-runs the campaign with a worker killed mid-level, a poison task, a
-corrupted cache entry, and a truncated checkpoint journal -- and
-demands byte-equal serialized results every time.  These tests drive
-the campaign end to end (library and CLI) and pin the unit behaviour
-of the fault injectors themselves.
+``chaos_campaign`` computes the undisturbed outcome, then re-runs the
+campaign with a corrupted cache entry and with a truncated checkpoint
+journal -- and demands byte-equal serialized results every time, with
+a fault actually injected.  These tests drive the campaign end to end
+(library and CLI) and pin the unit behaviour of the fault injectors
+themselves.
 """
 
 import pytest
 
 from repro.cli import main
 from repro.faults.chaos import (
-    ChaosPlan,
     chaos_campaign,
     corrupt_cache_entry,
     truncate_tail,
 )
 from repro.protocols.consensus import CommitAdoptRounds, TasConsensus
-
-
-class TestChaosPlan:
-    def test_kills_consumed_once(self):
-        plan = ChaosPlan(kills={3: "kill-after"})
-        assert plan.directive(3, 0) == "kill-after"
-        assert plan.directive(3, 0) is None  # consumed
-        assert plan.fired == [(3, 0, "kill-after")]
-
-    def test_hangs_consumed_once(self):
-        plan = ChaosPlan(hangs={1})
-        assert plan.directive(1, 5) == "hang"
-        assert plan.directive(1, 5) is None
-
-    def test_poison_never_consumed(self):
-        plan = ChaosPlan(poison={2})
-        for seq in range(4):
-            assert plan.directive(seq, 2) == "kill-after"
-        assert len(plan.fired) == 4
-
-    def test_clean_dispatch_fires_nothing(self):
-        plan = ChaosPlan(kills={9: "kill-before"})
-        assert plan.directive(0, 0) is None
-        assert plan.fired == []
 
 
 class TestInjectors:
@@ -67,23 +42,30 @@ class TestInjectors:
 
 class TestChaosCampaign:
     def test_all_scenarios_byte_equal(self, tmp_path):
-        # rounds:3 actually exercises the sharded plane (n=2 protocols
-        # answer every oracle query through the solo-probe fast path and
-        # never dispatch to workers).
+        # rounds:3 stores cache entries (n=2 protocols answer every
+        # oracle query through the solo-probe fast path and cache
+        # nothing).
         rows = chaos_campaign(
-            CommitAdoptRounds(3), tmp_path, workers=2, seed=0, kills=1,
+            CommitAdoptRounds(3), tmp_path, seed=0,
             max_configs=20_000, max_depth=12,
         )
         verdicts = {row.scenario: row for row in rows}
-        assert set(verdicts) == {
-            "worker-kill", "poison-task",
-            "cache-corruption", "journal-truncation",
-        }
+        assert set(verdicts) == {"cache-corruption", "journal-truncation"}
         for scenario, row in verdicts.items():
             assert row.ok, f"{scenario}: {row.detail}"
-        # The faults actually fired: the differential is not vacuous.
-        assert verdicts["worker-kill"].injected
-        assert verdicts["poison-task"].injected
+            # The fault actually fired: the differential is not vacuous.
+            assert row.injected, scenario
+
+    def test_scenario_without_a_fault_to_inject_is_not_ok(self, tmp_path):
+        # tas:2 never reaches the cache, so there is no entry to corrupt;
+        # a pass here would claim a fault stayed invisible that never
+        # happened.
+        [row] = chaos_campaign(
+            TasConsensus(2), tmp_path, scenarios=["cache-corruption"]
+        )
+        assert not row.ok
+        assert not row.injected
+        assert "vacuous" in row.detail
 
     def test_unknown_scenario_reported_not_crashed(self, tmp_path):
         rows = chaos_campaign(
@@ -98,17 +80,23 @@ class TestChaosCli:
     def test_chaos_command_exit_zero(self, tmp_path, capsys):
         rc = main([
             "chaos", "rounds:3",
-            "--workers", "2",
             "--seed", "0",
-            "--scenarios", "worker-kill",
+            "--scenarios", "cache-corruption",
             "--max-configs", "20000",
             "--max-depth", "12",
             "--workdir", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "worker-kill" in out
-        assert "byte-equal" in out
+        assert "cache-corruption" in out
+        assert "all byte-equal" in out
+
+    def test_chaos_command_fails_a_vacuous_scenario(self, tmp_path, capsys):
+        rc = main(["chaos", "tas:2", "--workdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 2, out
+        assert "vacuous" in out
+        assert "all byte-equal" not in out
 
     def test_chaos_scenario_subset(self, tmp_path, capsys):
         rc = main([
@@ -119,7 +107,7 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "journal-truncation" in out
-        assert "worker-kill" not in out
+        assert "cache-corruption" not in out
 
     def test_chaos_rejects_unknown_scenario_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -228,13 +228,12 @@ def swap_race():
 
 
 class TestGuardedLeg:
-    def test_guarded_outcomes_agree_across_engines(self, worker_pool):
+    def test_guarded_outcomes_agree_across_engines(self):
         report = differential(
             swap_race(),
             DEFAULT_ENGINES,
             max_configs=4_000,
             max_depth=40,
-            pool=worker_pool,
             guarded=True,
         )
         assert report.ok, [d.describe() for d in report.divergences]

@@ -237,8 +237,8 @@ class TestOracleLifecycle:
 
 class TestCachedHashPickling:
     """Cached structural hashes must never travel between processes:
-    ``hash()`` is salted per interpreter, and configurations are shipped
-    to spawned workers by pickle."""
+    ``hash()`` is salted per interpreter, so a pickled configuration
+    must not carry one."""
 
     def test_configuration_round_trip_drops_cached_hash(self):
         config = Configuration(("s", "t"), (0, 1), (0, 0))

@@ -5,7 +5,7 @@ strategy as tests/test_parallel_differential.py) and checks that an
 incremental oracle -- interned memo tables, frontier reuse -- returns
 *exactly* what a cold oracle returns: identical answers, identical
 witness schedules (replayed in a fresh sequential system), identical
-behaviour under sharded workers and partial-order reduction.  Any
+behaviour under partial-order reduction.  Any
 divergence is a soundness bug in the memo layer, found here on a
 five-state automaton instead of inside a lemma driver.
 """
@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 
 from repro.core.valency import ValencyOracle
 from repro.model.system import System
-from repro.parallel import ShardedExplorer
 
 from tests.test_parallel_differential import (
     DIFFERENTIAL,
@@ -68,35 +67,6 @@ def test_incremental_oracle_equals_cold_oracle(protocol):
             system.decision(cursor, pid) == value for pid in pids
         )
     incremental.close()
-
-
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
-@DIFFERENTIAL
-def test_incremental_sharded_matches_sequential(
-    protocol, inputs_seed, worker_pool, workers
-):
-    from repro.analysis.explorer import Explorer
-    from repro.core.incremental import IncrementalEngine
-
-    system = System(protocol)
-    inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    root = system.initial_configuration(inputs)
-    pids = frozenset(range(protocol.n))
-    seq = Explorer(
-        system, max_configs=50_000, engine=IncrementalEngine(system)
-    ).explore(root, pids)
-    par = ShardedExplorer(
-        system,
-        workers=workers,
-        pool=worker_pool,
-        max_configs=50_000,
-        engine=IncrementalEngine(system),
-    ).explore(root, pids)
-    assert par.decided == seq.decided
-    assert par.visited == seq.visited
-    assert par.complete == seq.complete
-    assert par.truncated == seq.truncated
-    assert par.witnesses_replay(fresh_system(protocol))
 
 
 @given(protocol=table_protocols())

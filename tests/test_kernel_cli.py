@@ -125,7 +125,7 @@ class TestStatsKernelTable:
             "data": {
                 "counters": {
                     "kernel.fallbacks": 2,
-                    "kernel.fallback.sharded-workers": 1,
+                    "kernel.fallback.compile-error": 1,
                     "kernel.fallback.system-subclass": 1,
                 },
                 "gauges": {},
@@ -138,7 +138,7 @@ class TestStatsKernelTable:
         reasons = next(
             l for l in out.splitlines() if l.startswith("fallback reasons")
         )
-        assert "sharded-workers" in reasons
+        assert "compile-error" in reasons
         assert "system-subclass" in reasons
 
 
@@ -146,8 +146,8 @@ class TestFuzzKernelFlag:
     def test_interp_drops_the_compiled_leg(self):
         from repro.cli import _fuzz_engines
 
-        compiled = _fuzz_engines(2, "compiled")
-        interp = _fuzz_engines(2, "interp")
+        compiled = _fuzz_engines("compiled")
+        interp = _fuzz_engines("interp")
         assert any(spec.kernel == "compiled" for spec in compiled)
         assert all(spec.kernel == "interp" for spec in interp)
         assert len(interp) == len(compiled) - 1

@@ -6,8 +6,8 @@ compiled packed-integer kernel (:mod:`repro.kernel`) returns *exactly*
 what the interpreted explorer returns: identical reachable-set
 fingerprints (decided values, witness schedules, visited counts,
 completeness flags), identical certificates, identical guarded exit
-codes -- across 1 vs N workers, POR on and off, with and without the
-incremental engine, and with the out-of-core spill forced down to a
+codes -- across POR on and off, with and without the incremental
+engine, and with the out-of-core spill forced down to a
 one-configuration threshold.  Any divergence is a soundness bug in the
 lowering, found here on a five-state automaton instead of inside a
 lemma driver.
@@ -25,7 +25,6 @@ from repro.core.theorem import space_lower_bound
 from repro.errors import BudgetExhausted, ExplorationLimitError
 from repro.faults.budget import Budget
 from repro.model.system import System
-from repro.parallel import ShardedExplorer
 from repro.protocols.consensus import CommitAdoptRounds
 
 from tests.test_parallel_differential import (
@@ -145,29 +144,6 @@ def test_compiled_forced_spill_is_bit_identical(protocol, inputs_seed):
     assert compiled.witnesses_replay(fresh_system(protocol))
 
 
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
-@DIFFERENTIAL
-def test_compiled_one_vs_n_workers(protocol, inputs_seed, worker_pool, workers):
-    """workers>1 falls back (recorded) and still matches workers=1."""
-    inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    system = System(protocol)
-    root = system.initial_configuration(inputs)
-    pids = frozenset(range(protocol.n))
-    one = ShardedExplorer(
-        system, workers=1, max_configs=50_000, kernel="compiled"
-    )
-    sequential = one.explore(root, pids)
-    one.close()
-    sharded_explorer = ShardedExplorer(
-        fresh_system(protocol), workers=workers, pool=worker_pool,
-        max_configs=50_000, kernel="compiled",
-    )
-    assert sharded_explorer.kernel_fallback_reason == "sharded-workers"
-    sharded = sharded_explorer.explore(root, pids)
-    sharded_explorer.close()
-    assert result_fingerprint(sharded) == result_fingerprint(sequential)
-
-
 def test_strict_limit_error_is_byte_identical():
     """Same exception type, message bytes, and visited payload."""
     def overrun(kernel):
@@ -248,7 +224,7 @@ def test_guarded_outcome_exit_codes_match():
 
 
 def test_compiled_engine_fingerprint_matches_sequential_leg():
-    """The sixth oracle leg agrees with the baseline on a zoo-style
+    """The compiled oracle leg agrees with the baseline on a zoo-style
     specimen (the full differential runs in tests/test_fuzz.py and the
     zoo replay)."""
     from repro.fuzz.oracle import (

@@ -3,9 +3,9 @@ nothing observable.
 
 ``por=True`` may only skip *work* (step and canonical-key computations),
 never results: parents maps, witnesses, visited counts, decision sets,
-truncation flags must be bit-identical across sequential/unpruned,
-sequential/POR and sharded/POR on arbitrary hypothesis-generated
-automata, and the adversary must emit byte-identical certificates.
+truncation flags must be bit-identical between the unpruned and the
+POR search on arbitrary hypothesis-generated automata, and the
+adversary must emit byte-identical certificates.
 """
 
 from hypothesis import given
@@ -17,7 +17,6 @@ from repro.core.theorem import space_lower_bound
 from repro.core.valency import ValencyOracle
 from repro.model.system import System
 from repro.obs import MetricsRegistry, observe
-from repro.parallel import ShardedExplorer
 from repro.protocols.consensus import CommitAdoptRounds, TasConsensus
 
 from tests.test_parallel_differential import (
@@ -51,28 +50,6 @@ def test_sequential_por_is_bit_identical(protocol, inputs_seed):
     assert por.complete == base.complete
     assert por.truncated == base.truncated
     assert por.witnesses_replay(fresh_system(protocol))
-
-
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
-@DIFFERENTIAL
-def test_sharded_por_is_bit_identical(
-    protocol, inputs_seed, worker_pool, workers
-):
-    system = System(protocol)
-    base = _explore(
-        Explorer(system, max_configs=50_000), system, inputs_seed, protocol
-    )
-    shard = _explore(
-        ShardedExplorer(
-            system, workers=workers, pool=worker_pool,
-            max_configs=50_000, por=True,
-        ),
-        system, inputs_seed, protocol,
-    )
-    assert shard.decided == base.decided
-    assert shard.visited == base.visited
-    assert shard.complete == base.complete
-    assert shard.truncated == base.truncated
 
 
 @given(protocol=table_protocols(), value=st.sampled_from((0, 1)))

@@ -390,70 +390,3 @@ class TestLintRepository:
     def test_missing_root_is_a_lint_error(self, tmp_path):
         with pytest.raises(LintError):
             lint_repository(tmp_path / "nope")
-
-
-RAW_SQL = (
-    "import sqlite3\n"
-    "def peek(path):\n"
-    "    conn = sqlite3.connect(path)\n"
-    "    return conn.execute('SELECT * FROM jobs').fetchall()\n"
-)
-
-
-class TestServiceDbDiscipline:
-    def seed_service(self, tmp_path, source, name="helper.py"):
-        root = seed_tree(tmp_path)
-        service = root / "service"
-        service.mkdir()
-        (service / name).write_text(source, encoding="utf-8")
-        return root
-
-    def test_raw_sql_outside_db_module_is_flagged(self, tmp_path):
-        from repro.lint import check_service_db
-
-        root = self.seed_service(tmp_path, RAW_SQL)
-        report = check_service_db(root)
-        codes = [d.code for d in report]
-        assert codes.count("service-raw-sql") == 2  # connect + execute
-        assert all("versioned-schema layer" in d.message for d in report)
-
-    def test_db_module_itself_may_speak_sql(self, tmp_path):
-        from repro.lint import check_service_db
-
-        root = self.seed_service(tmp_path, RAW_SQL, name="db.py")
-        assert len(check_service_db(root)) == 0
-
-    def test_pragma_escapes_one_line(self, tmp_path):
-        from repro.lint import check_service_db
-        from repro.lint.selfcheck import RAW_SQL_PRAGMA
-
-        escaped = RAW_SQL.replace(
-            "sqlite3.connect(path)",
-            f"sqlite3.connect(path)  # {RAW_SQL_PRAGMA} (read-only peek)",
-        ).replace(
-            "conn.execute('SELECT * FROM jobs')",
-            "conn.execute('SELECT * FROM jobs')"
-            f"  # {RAW_SQL_PRAGMA} (read-only peek)",
-        )
-        root = self.seed_service(tmp_path, escaped)
-        assert len(check_service_db(root)) == 0
-
-    def test_trees_without_a_service_package_pass_clean(self, tmp_path):
-        from repro.lint import check_service_db
-
-        assert len(check_service_db(seed_tree(tmp_path))) == 0
-
-    def test_lint_repository_runs_the_check(self, tmp_path):
-        root = self.seed_service(tmp_path, RAW_SQL)
-        report = lint_repository(root)
-        assert any(d.code == "service-raw-sql" for d in report)
-
-    def test_non_sql_execute_names_elsewhere_are_ignored(self, tmp_path):
-        from repro.lint import check_service_db
-
-        # Only the service package is policed: executors elsewhere keep
-        # their idioms.
-        root = seed_tree(
-            tmp_path, extra={"runner.py": "def go(e):\n    e.execute()\n"}
-        )
-        assert len(check_service_db(root)) == 0

@@ -143,10 +143,9 @@ def test_stats_with_empty_metrics_prints_na_rates(tmp_path, capsys):
         assert line.rstrip().endswith("n/a"), line
 
 
-def test_stats_resilience_section_na_on_empty_journal(tmp_path, capsys):
+def test_stats_resilience_section_on_empty_journal(tmp_path, capsys):
     """S6: the resilience table renders for a journal from a run that
-    never touched the supervised plane -- all zeros, and the retry rate
-    guarded to "n/a" rather than dividing by zero dispatches."""
+    never checkpointed -- a zero row, not a KeyError."""
     journal = tmp_path / "idle.jsonl"
     record = {
         "v": 1,
@@ -160,43 +159,30 @@ def test_stats_resilience_section_na_on_empty_journal(tmp_path, capsys):
     assert main(["stats", str(journal)]) == 0
     out = capsys.readouterr().out
     assert "resilience" in out
-    for row in (
-        "worker restarts",
-        "tasks retried",
-        "tasks quarantined",
-        "degraded to sequential",
-        "checkpoint records",
-        "level snapshots",
-    ):
-        line = next(l for l in out.splitlines() if l.startswith(row))
-        assert line.split()[-1] == "0", line
-    retry = next(
-        l for l in out.splitlines() if l.startswith("task retry rate")
+    line = next(
+        l for l in out.splitlines() if l.startswith("checkpoint records")
     )
-    assert retry.rstrip().endswith("n/a"), retry
+    assert line.split()[-1] == "0", line
 
 
-def test_stats_resilience_section_counts_supervised_run(tmp_path, capsys):
-    """A sharded traced run dispatches through the supervisor, so its
-    journal's resilience table shows a real retry rate (0.0%, not n/a)
-    and zero restarts -- the undisturbed baseline."""
-    journal = tmp_path / "sharded.jsonl"
+def test_stats_resilience_section_counts_checkpoint_records(
+    tmp_path, capsys
+):
+    """A traced run with a live checkpoint journal counts one record per
+    computed oracle answer."""
+    journal = tmp_path / "checkpointed.jsonl"
     rc = main([
-        "adversary", "rounds:3", "--workers", "2",
+        "adversary", "rounds:3", "--resume", str(tmp_path / "run.ckpt"),
         "--trace-out", str(journal),
     ])
     assert rc == 0
     capsys.readouterr()
     assert main(["stats", str(journal)]) == 0
     out = capsys.readouterr().out
-    restarts = next(
-        l for l in out.splitlines() if l.startswith("worker restarts")
+    line = next(
+        l for l in out.splitlines() if l.startswith("checkpoint records")
     )
-    assert restarts.split()[-1] == "0"
-    retry = next(
-        l for l in out.splitlines() if l.startswith("task retry rate")
-    )
-    assert not retry.rstrip().endswith("n/a"), retry
+    assert int(line.split()[-1]) > 0, line
 
 
 def test_trace_filters_by_name(tmp_path, capsys):

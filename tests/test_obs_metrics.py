@@ -1,5 +1,5 @@
 """Unit tests for the observability primitives: instruments, registry
-snapshot/merge determinism, the ambient observation stack, and the
+snapshot determinism, the ambient observation stack, and the
 tracer/sink plumbing (including the flushed-journal-on-exception
 guarantee the CLI exit codes 2/3 rely on)."""
 
@@ -84,45 +84,6 @@ def test_snapshot_is_json_safe_and_sorted():
     assert json.loads(json.dumps(snap)) == snap
     assert list(snap["counters"]) == ["a", "z"]
     assert snap["histograms"]["h"]["counts"] == [0, 0, 1]
-
-
-def test_merge_is_commutative():
-    shards = []
-    for base in (1, 10, 100):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(base)
-        registry.gauge("g").set_max(base)
-        hist = registry.histogram("h", edges=(5, 50))
-        hist.observe(base)
-        shards.append(registry.snapshot())
-
-    def merged(order):
-        registry = MetricsRegistry()
-        for index in order:
-            registry.merge(shards[index])
-        return registry.snapshot()
-
-    forward = merged([0, 1, 2])
-    backward = merged([2, 1, 0])
-    assert forward == backward
-    assert forward["counters"]["c"] == 111
-    assert forward["gauges"]["g"] == 100
-    assert forward["histograms"]["h"]["counts"] == [1, 1, 1]
-
-
-def test_merge_matches_sequential_accumulation():
-    sequential = MetricsRegistry()
-    shard = MetricsRegistry()
-    for registry, values in ((sequential, (1, 2, 3, 4)), (shard, (3, 4))):
-        for value in values:
-            registry.counter("c").inc(value)
-            registry.histogram("h", edges=(2,)).observe(value)
-    partial = MetricsRegistry()
-    for value in (1, 2):
-        partial.counter("c").inc(value)
-        partial.histogram("h", edges=(2,)).observe(value)
-    partial.merge(shard.snapshot())
-    assert partial.snapshot() == sequential.snapshot()
 
 
 def test_null_registry_discards_everything():

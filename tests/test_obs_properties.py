@@ -1,25 +1,21 @@
-"""Property-based tests: sharded metric shards merge to the sequential
-run's metrics.
+"""Property-based tests: explorer metrics are a function of the search.
 
-The sharded explorer counts edges, branching and in-batch dedup inside
-worker processes and merges the snapshot shards at the pool join; the
-coordinator adds its own dedup decisions and frontier widths.  For any
-completed exploration this decomposition must be exact: each enabled
-step is counted exactly once -- as an accepted edge, a worker-side
-in-batch duplicate, or a coordinator-side duplicate -- and frontier
-bookkeeping replays the sequential order.  Hypothesis drives arbitrary
-small table protocols through both engines (1 worker = the sequential
-fast path, N workers = real shards) under separate registries and
-demands equal counters and histograms.
+Every engine that claims to run the same breadth-first search must
+count the same events: each enabled step once (as an accepted edge or a
+dedup hit), the same branching per configuration, and the same
+frontier widths.  Hypothesis drives arbitrary small table protocols
+through the interpreter, the compiled kernel and the incremental
+engine under separate registries and demands equal counters and
+histograms -- and equal snapshots when the same search runs twice.
 """
 
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from repro.analysis.explorer import Explorer
+from repro.core.incremental import IncrementalEngine
 from repro.model.system import System
 from repro.obs import MetricsRegistry, observe
-from repro.parallel import ShardedExplorer
 
 from tests.test_parallel_differential import table_protocols
 
@@ -46,82 +42,74 @@ def explore_with_metrics(make_explorer, root, pids):
     return result, registry.snapshot()
 
 
-def assert_metrics_equal(seq_snap, par_snap):
+def assert_metrics_equal(expected, got):
     for name in COMPARED_COUNTERS:
-        assert par_snap["counters"].get(name) == seq_snap["counters"].get(
+        assert got["counters"].get(name) == expected["counters"].get(
             name
         ), name
     for name in COMPARED_HISTOGRAMS:
-        seq_h = seq_snap["histograms"].get(name)
-        par_h = par_snap["histograms"].get(name)
-        assert (seq_h is None) == (par_h is None), name
-        if seq_h is not None:
-            assert par_h["counts"] == seq_h["counts"], name
-            assert par_h["count"] == seq_h["count"], name
-            assert par_h["sum"] == seq_h["sum"], name
-    assert par_snap["gauges"].get("explorer.frontier_peak") == seq_snap[
+        want_h = expected["histograms"].get(name)
+        got_h = got["histograms"].get(name)
+        assert (want_h is None) == (got_h is None), name
+        if want_h is not None:
+            assert got_h["counts"] == want_h["counts"], name
+            assert got_h["count"] == want_h["count"], name
+            assert got_h["sum"] == want_h["sum"], name
+    assert got["gauges"].get("explorer.frontier_peak") == expected[
         "gauges"
     ].get("explorer.frontier_peak")
 
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
 @PROPERTY
-def test_sharded_metrics_equal_sequential(
-    protocol, inputs_seed, worker_pool, workers
-):
+def test_compiled_kernel_metrics_equal_interpreter(protocol, inputs_seed):
     system = System(protocol)
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
     root = system.initial_configuration(inputs)
     pids = frozenset(range(protocol.n))
 
-    _, seq_snap = explore_with_metrics(
+    _, interp_snap = explore_with_metrics(
         lambda: Explorer(system, max_configs=50_000), root, pids
     )
-    _, par_snap = explore_with_metrics(
-        lambda: ShardedExplorer(
-            system, workers=workers, pool=worker_pool, max_configs=50_000
-        ),
+    _, compiled_snap = explore_with_metrics(
+        lambda: Explorer(system, max_configs=50_000, kernel="compiled"),
         root,
         pids,
     )
-    assert_metrics_equal(seq_snap, par_snap)
+    assert_metrics_equal(interp_snap, compiled_snap)
 
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 3))
 @PROPERTY
-def test_one_worker_metrics_equal_sequential(protocol, inputs_seed):
+def test_incremental_engine_metrics_equal_cold(protocol, inputs_seed):
     system = System(protocol)
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
     root = system.initial_configuration(inputs)
     pids = frozenset(range(protocol.n))
 
-    _, seq_snap = explore_with_metrics(
+    _, cold_snap = explore_with_metrics(
         lambda: Explorer(system, max_configs=50_000), root, pids
     )
-    _, one_snap = explore_with_metrics(
-        lambda: ShardedExplorer(system, workers=1, max_configs=50_000),
+    _, engine_snap = explore_with_metrics(
+        lambda: Explorer(
+            system, max_configs=50_000, engine=IncrementalEngine(system)
+        ),
         root,
         pids,
     )
-    assert one_snap == seq_snap
+    assert engine_snap == cold_snap
 
 
 @given(protocol=table_protocols())
 @PROPERTY
-def test_metrics_are_deterministic_across_repeats(
-    protocol, worker_pool, workers
-):
+def test_metrics_are_deterministic_across_repeats(protocol):
     system = System(protocol)
     root = system.initial_configuration([0, 1] + [0] * (protocol.n - 2))
     pids = frozenset(range(protocol.n))
 
     def once():
         _, snap = explore_with_metrics(
-            lambda: ShardedExplorer(
-                system, workers=workers, pool=worker_pool, max_configs=50_000
-            ),
-            root,
-            pids,
+            lambda: Explorer(system, max_configs=50_000), root, pids
         )
         return snap
 

@@ -1,13 +1,11 @@
-"""Property-based differential tests: every engine, one truth.
+"""Property-based differential tests: the valency cache changes nothing.
 
 Hypothesis generates small arbitrary protocol automata
 (:class:`repro.model.table.TableProtocol` -- well-formed step machines,
 not necessarily correct consensus protocols) and checks that the
-sequential explorer, the sharded explorer and the cache-backed oracle
-agree *exactly*: identical decision sets, identical witness schedules
-that replay in a fresh sequential system, identical answers cold vs
-warm.  Any divergence is a soundness bug in the parallel layer, found
-here on a five-state automaton instead of inside a lemma driver.
+cache-backed oracle answers *exactly* the same cold and warm.  The
+strategy and helpers here are shared by the other differential suites
+(kernel, incremental, POR, obs).
 """
 
 import tempfile
@@ -15,11 +13,9 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from repro.analysis.explorer import Explorer
 from repro.core.valency import ValencyOracle
 from repro.model.system import System
 from repro.model.table import TableProtocol
-from repro.parallel import ShardedExplorer
 
 VALUES = (0, 1)
 RESPONSES = (None, 0, 1)
@@ -68,48 +64,9 @@ def table_protocols(draw):
 
 def fresh_system(protocol):
     """Rebuild the protocol from its constructor recipe -- a genuinely
-    fresh system, as a worker process or a later run would see it."""
+    fresh system, as a later run would see it."""
     args, kwargs = protocol._ctor_args
     return System(type(protocol)(*args, **kwargs))
-
-
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
-@DIFFERENTIAL
-def test_sharded_exploration_is_bit_identical(
-    protocol, inputs_seed, worker_pool, workers
-):
-    system = System(protocol)
-    inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    root = system.initial_configuration(inputs)
-    pids = frozenset(range(protocol.n))
-    seq = Explorer(system, max_configs=50_000).explore(root, pids)
-    par = ShardedExplorer(
-        system, workers=workers, pool=worker_pool, max_configs=50_000
-    ).explore(root, pids)
-    assert par.decided == seq.decided
-    assert par.visited == seq.visited
-    assert par.complete == seq.complete
-    assert par.truncated == seq.truncated
-    assert par.witnesses_replay(fresh_system(protocol))
-
-
-@given(protocol=table_protocols(), value=st.sampled_from(VALUES))
-@DIFFERENTIAL
-def test_sharded_stop_when_is_bit_identical(
-    protocol, value, worker_pool, workers
-):
-    system = System(protocol)
-    root = system.initial_configuration([0, 1] + [0] * (protocol.n - 2))
-    pids = frozenset(range(protocol.n))
-    target = frozenset({value})
-    seq = Explorer(system, max_configs=50_000).explore(
-        root, pids, stop_when=target
-    )
-    par = ShardedExplorer(
-        system, workers=workers, pool=worker_pool, max_configs=50_000
-    ).explore(root, pids, stop_when=target)
-    assert par.decided == seq.decided
-    assert par.visited == seq.visited
 
 
 @given(protocol=table_protocols())

@@ -1,109 +1,32 @@
-"""The sharded explorer must be indistinguishable from the sequential one.
+"""Contracts first pinned against the sharded explorer, which outlive it.
 
-Equality here means *bit-identical* exploration results -- decision
-sets, witness schedules, visited counts, completeness/truncation flags
--- plus the operational contracts around them: witnesses replay in a
-fresh sequential system, certificates produced under ``workers > 1``
-equal the sequential ones, and errors raised anywhere in the pipeline
-keep their types, payloads and CLI exit codes.
+The multi-process exploration plane is gone, but two guarantees its
+tests pinned still bind the sequential engines:
+
+* BFS discovers the pinned lexicographically-least witness schedules,
+  and they replay in a fresh system;
+* the payload-carrying errors the CLI exit-code contract reads keep
+  their types and payloads through pickling and across a real process
+  boundary (the ``picklable-errors`` self-lint rule checks the static
+  side of the same promise).
 """
 
+import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.errors import (
     BudgetExhausted,
     ExplorationLimitError,
-    ModelError,
     ViolationError,
 )
 from repro.analysis.explorer import Explorer
-from repro.cli import main
-from repro.core.theorem import space_lower_bound
 from repro.model.system import System
-from repro.parallel import ShardedExplorer
-from repro.protocols.consensus import (
-    CasConsensus,
-    CommitAdoptRounds,
-    TasConsensus,
-)
+from repro.protocols.consensus import CommitAdoptRounds
 
 BOUNDED = dict(max_configs=20_000, max_depth=12, strict=False)
-
-
-def result_tuple(result):
-    return (
-        dict(result.decided),
-        result.visited,
-        result.complete,
-        result.truncated,
-    )
-
-
-class TestShardedEqualsSequential:
-    @pytest.mark.parametrize(
-        "protocol, inputs, kwargs",
-        [
-            (CommitAdoptRounds(3), [0, 1, 0], BOUNDED),
-            (CasConsensus(3), [0, 1, 1], dict(max_configs=50_000)),
-            (TasConsensus(2), [0, 1], dict(max_configs=50_000)),
-        ],
-        ids=["rounds", "cas", "tas"],
-    )
-    def test_full_exploration_identical(
-        self, protocol, inputs, kwargs, worker_pool, workers
-    ):
-        system = System(protocol)
-        root = system.initial_configuration(inputs)
-        pids = frozenset(range(protocol.n))
-        seq = Explorer(system, **kwargs).explore(root, pids)
-        par = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, **kwargs
-        ).explore(root, pids)
-        assert result_tuple(seq) == result_tuple(par)
-        assert par.witnesses_replay(System(protocol))
-
-    def test_stop_when_early_exit_identical(self, worker_pool, workers):
-        system = System(CommitAdoptRounds(3))
-        root = system.initial_configuration([0, 1, 0])
-        pids = frozenset({0, 1, 2})
-        for target in (frozenset({0}), frozenset({1}), frozenset({0, 1})):
-            seq = Explorer(system, **BOUNDED).explore(
-                root, pids, stop_when=target
-            )
-            par = ShardedExplorer(
-                system, workers=workers, pool=worker_pool, **BOUNDED
-            ).explore(root, pids, stop_when=target)
-            assert result_tuple(seq) == result_tuple(par)
-
-    def test_subset_queries_identical(self, worker_pool, workers):
-        system = System(CasConsensus(3))
-        root = system.initial_configuration([0, 1, 1])
-        sharded = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, max_configs=50_000
-        )
-        sequential = Explorer(system, max_configs=50_000)
-        for pids in [frozenset({0}), frozenset({1, 2}), frozenset({0, 2})]:
-            seq = sequential.explore(root, pids)
-            par = sharded.explore(root, pids)
-            assert result_tuple(seq) == result_tuple(par)
-
-    def test_workers_one_is_plain_sequential(self):
-        system = System(TasConsensus(2))
-        root = system.initial_configuration([0, 1])
-        solo = ShardedExplorer(system, workers=1, max_configs=50_000)
-        seq = Explorer(system, max_configs=50_000)
-        pids = frozenset({0, 1})
-        assert result_tuple(solo.explore(root, pids)) == result_tuple(
-            seq.explore(root, pids)
-        )
-
-    def test_unpicklable_system_rejected_loudly(self):
-        system = System(TasConsensus(2))
-        system.tape = lambda pid, index: 0  # closures cannot cross spawn
-        with pytest.raises(ModelError, match="not picklable"):
-            ShardedExplorer(system, workers=2)
 
 
 class TestWitnessReplayRegression:
@@ -113,15 +36,14 @@ class TestWitnessReplayRegression:
     # breaks this test before it breaks a proof.
     PINNED = {0: (0,) * 8, 1: (1,) * 8}
 
-    def test_sharded_witnesses_are_the_pinned_schedules(
-        self, worker_pool, workers
-    ):
+    @pytest.mark.parametrize("kernel", ["interp", "compiled"])
+    def test_bfs_witnesses_are_pinned(self, kernel):
         system = System(CommitAdoptRounds(3))
         root = system.initial_configuration([0, 1, 0])
-        par = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, **BOUNDED
-        ).explore(root, frozenset({0, 1, 2}))
-        assert par.decided == self.PINNED
+        explorer = Explorer(system, kernel=kernel, **BOUNDED)
+        result = explorer.explore(root, frozenset({0, 1, 2}))
+        explorer.close()
+        assert result.decided == self.PINNED
 
     def test_pinned_schedules_replay_in_a_fresh_system(self):
         fresh = System(CommitAdoptRounds(3))
@@ -131,88 +53,23 @@ class TestWitnessReplayRegression:
             assert value in fresh.decided_values(final)
 
 
-class TestWorkerEndpoint:
-    """``expand_batch`` is a pure function -- exercised in-process here
-    (spawned children run the same code but escape coverage tracing)."""
-
-    def test_expand_batch_events_match_sequential_stepping(self):
-        from repro.parallel.worker import expand_batch
-
-        system = System(TasConsensus(2))
-        root = system.initial_configuration([0, 1])
-        pids = (0, 1)
-        blob = pickle.dumps(system)
-        [(index, events)] = expand_batch(
-            (blob, pids, ((4, root, None),), False)
-        )
-        assert index == 4
-        assert [pid for pid, *_ in events] == [0, 1]
-        for pid, op, succ, succ_key, decided in events:
-            assert op == system.poised(root, pid)
-            expected, _ = system.step(root, pid)
-            assert succ == expected
-            assert succ_key == system.protocol.canonical_query_key(
-                succ, frozenset(pids)
-            )
-            assert decided == tuple(system.decided_values(succ))
-
-    def test_expand_batch_drops_intra_batch_duplicates(self):
-        from repro.parallel.worker import expand_batch
-
-        system = System(TasConsensus(2))
-        root = system.initial_configuration([0, 1])
-        blob = pickle.dumps(system)
-        batch = expand_batch(
-            (blob, (0, 1), ((0, root, None), (1, root, None)), False)
-        )
-        first_keys = {key for _, _, _, key, _ in batch[0][1]}
-        second_keys = {key for _, _, _, key, _ in batch[1][1]}
-        assert not (first_keys & second_keys)
-
-    def test_system_blob_memo_is_bounded(self):
-        from repro.parallel import worker
-
-        worker._SYSTEMS.clear()
-        for n in range(2, 2 + worker._MAX_CACHED_SYSTEMS + 1):
-            worker.system_from_blob(pickle.dumps(System(CasConsensus(n))))
-        assert len(worker._SYSTEMS) <= worker._MAX_CACHED_SYSTEMS
-
-
-class TestExplorerConveniences:
-    def test_reachable_count_matches_sequential(self, worker_pool, workers):
-        system = System(TasConsensus(2))
-        root = system.initial_configuration([0, 1])
-        pids = frozenset({0, 1})
-        sharded = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, max_configs=50_000
-        )
-        sequential = Explorer(system, max_configs=50_000)
-        assert sharded.reachable_count(root, pids) == (
-            sequential.reachable_count(root, pids)
-        )
-
-    def test_iter_reachable_delegates_to_sequential(self):
-        system = System(TasConsensus(2))
-        root = system.initial_configuration([0, 1])
-        pids = frozenset({0, 1})
-        sharded = ShardedExplorer(system, workers=1, max_configs=50_000)
-        sequential = Explorer(system, max_configs=50_000)
-        assert [
-            (config, path) for config, path in sharded.iter_reachable(
-                root, pids
-            )
-        ] == list(sequential.iter_reachable(root, pids))
-
-
-def _raise_in_worker(kind):
-    """Module-level so spawned workers can import and run it."""
+def _raise_in_child(kind):
+    """Module-level so a spawned interpreter can import and run it."""
     if kind == "budget":
         raise BudgetExhausted(
-            "spent inside a worker", spent_steps=7, elapsed=1.5
+            "spent inside a child", spent_steps=7, elapsed=1.5
         )
     if kind == "violation":
-        raise ViolationError("found inside a worker", witness=(0, 1, 1, 0))
-    raise ExplorationLimitError("overran inside a worker", visited=123)
+        raise ViolationError("found inside a child", witness=(0, 1, 1, 0))
+    raise ExplorationLimitError("overran inside a child", visited=123)
+
+
+@pytest.fixture(scope="module")
+def child_process():
+    """One spawned interpreter; whatever it raises comes back pickled."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        yield pool
 
 
 class TestErrorMarshalling:
@@ -231,7 +88,7 @@ class TestErrorMarshalling:
 
     @pytest.mark.parametrize("kind", ["budget", "violation", "limit"])
     def test_errors_cross_the_process_boundary_intact(
-        self, worker_pool, kind
+        self, child_process, kind
     ):
         expected = {
             "budget": BudgetExhausted,
@@ -239,7 +96,7 @@ class TestErrorMarshalling:
             "limit": ExplorationLimitError,
         }[kind]
         with pytest.raises(expected) as excinfo:
-            worker_pool.map(_raise_in_worker, [kind])
+            child_process.submit(_raise_in_child, kind).result(timeout=60)
         exc = excinfo.value
         if kind == "budget":
             assert (exc.spent_steps, exc.elapsed) == (7, 1.5)
@@ -247,46 +104,3 @@ class TestErrorMarshalling:
             assert exc.witness == (0, 1, 1, 0)
         else:
             assert exc.visited == 123
-
-
-class TestCertificateEquality:
-    def test_sequential_and_parallel_certificates_equal(self, workers):
-        system = System(CommitAdoptRounds(3))
-        seq = space_lower_bound(
-            system, strict=False, max_configs=20_000, max_depth=40
-        )
-        par = space_lower_bound(
-            System(CommitAdoptRounds(3)),
-            strict=False,
-            max_configs=20_000,
-            max_depth=40,
-            workers=workers,
-        )
-        assert seq == par
-        par.validate(System(CommitAdoptRounds(3)))
-
-
-class TestCliExitCodesWithWorkers:
-    def test_budget_exhaustion_keeps_exit_code_3(self, capsys):
-        code = main(
-            ["adversary", "rounds:3", "--workers", "2", "--budget", "5"]
-        )
-        assert code == 3
-        assert "partial progress" in capsys.readouterr().out
-
-    def test_violation_keeps_exit_code_2(self, capsys):
-        code = main(["adversary", "split-brain:3", "--workers", "2"])
-        assert code == 2
-        out = capsys.readouterr().out
-        assert "violation" in out
-        assert "witness schedule" in out
-
-    def test_certificate_with_workers_exits_0(self, capsys, tmp_path):
-        out_path = tmp_path / "cert.json"
-        code = main(
-            ["adversary", "rounds:3", "--workers", "2", "--out",
-             str(out_path)]
-        )
-        assert code == 0
-        assert out_path.exists()
-        assert main(["validate", str(out_path), "rounds:3"]) == 0

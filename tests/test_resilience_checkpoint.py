@@ -3,11 +3,10 @@
 The journal half: every recorded oracle answer is on disk before the
 next one is computed, a torn final line recovers to the intact prefix
 (at *every* byte offset), and mid-file or header damage is refused
-loudly.  The level half: BFS snapshots resume an interrupted
-exploration to a bit-identical result, and stale or corrupt snapshots
-are quarantined, never trusted.  The end-to-end half: a campaign
-SIGKILLed mid-run resumes from its checkpoint journal to the same
-certificate as an uninterrupted run.
+loudly.  The end-to-end half: a campaign SIGKILLed mid-run resumes
+from its checkpoint journal to the same certificate as an
+uninterrupted run.  The lock half: one writer per journal path, and
+the lock is released however a run ends.
 """
 
 import json
@@ -20,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.explorer import Explorer
 from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
 from repro.faults import (
@@ -31,25 +29,12 @@ from repro.faults import (
 )
 from repro.faults.chaos import truncate_tail
 from repro.model.system import System
-from repro.parallel import ShardedExplorer, WorkerPool
 from repro.protocols.consensus import CommitAdoptRounds
 from repro.resilience import (
     CheckpointJournal,
-    LevelCheckpoint,
     atomic_write_text,
     load_checkpoint,
 )
-
-BOUNDED = dict(max_configs=20_000, max_depth=12, strict=False)
-
-
-def result_tuple(result):
-    return (
-        dict(result.decided),
-        result.visited,
-        result.complete,
-        result.truncated,
-    )
 
 
 def make_journal(path, entries=()):
@@ -168,105 +153,6 @@ class TestCheckpointJournal:
         atomic_write_text(path, "second")
         assert path.read_text() == "second"
         assert list(tmp_path.glob(".tmp-ckpt-*")) == []
-
-
-class TestLevelCheckpoint:
-    TOKEN = ("root", (0, 1, 2), None, 20_000, 12, False, False)
-
-    def test_save_load_round_trip(self, tmp_path):
-        ckpt = LevelCheckpoint(tmp_path / "lvl")
-        state = {"parents": {"a": None}, "depth": 3}
-        assert ckpt.save(self.TOKEN, state)
-        assert LevelCheckpoint(tmp_path / "lvl").load(self.TOKEN) == state
-
-    def test_stale_token_ignored(self, tmp_path):
-        ckpt = LevelCheckpoint(tmp_path / "lvl")
-        ckpt.save(self.TOKEN, {"depth": 1})
-        other = ("other",) + self.TOKEN[1:]
-        assert ckpt.load(other) is None
-        # The snapshot survives: it belongs to the token that wrote it.
-        assert ckpt.load(self.TOKEN) == {"depth": 1}
-
-    def test_corrupt_snapshot_quarantined(self, tmp_path):
-        path = tmp_path / "lvl"
-        ckpt = LevelCheckpoint(path)
-        ckpt.save(self.TOKEN, {"depth": 1})
-        path.write_bytes(b"\x80\x04 not a pickle")
-        assert ckpt.load(self.TOKEN) is None
-        assert path.with_suffix(".corrupt").exists()
-        assert not path.exists()
-
-    def test_every_throttles_saves(self, tmp_path):
-        ckpt = LevelCheckpoint(tmp_path / "lvl", every=3)
-        saved = [ckpt.save(self.TOKEN, {"depth": i}) for i in range(7)]
-        assert saved == [True, False, False, True, False, False, True]
-
-    def test_clear_removes_snapshot(self, tmp_path):
-        ckpt = LevelCheckpoint(tmp_path / "lvl")
-        ckpt.save(self.TOKEN, {"depth": 1})
-        ckpt.clear()
-        assert ckpt.load(self.TOKEN) is None
-        ckpt.clear()  # idempotent
-
-    def test_rejects_bad_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            LevelCheckpoint(tmp_path / "lvl", every=0)
-
-
-class _CrashAfter(LevelCheckpoint):
-    """A level checkpoint that crashes the exploration after N saves."""
-
-    def __init__(self, path, crash_after):
-        super().__init__(path)
-        self.crash_after = crash_after
-        self.saves = 0
-
-    def save(self, token, state):
-        wrote = super().save(token, state)
-        if wrote:
-            self.saves += 1
-            if self.saves >= self.crash_after:
-                raise RuntimeError("injected crash at level boundary")
-        return wrote
-
-
-class TestExplorerLevelResume:
-    def test_interrupted_exploration_resumes_bit_identical(
-        self, tmp_path, worker_pool, workers
-    ):
-        system = System(CommitAdoptRounds(3))
-        root = system.initial_configuration([0, 1, 0])
-        pids = frozenset({0, 1, 2})
-        seq = Explorer(system, **BOUNDED).explore(root, pids)
-
-        path = tmp_path / "levels"
-        crasher = _CrashAfter(path, crash_after=2)
-        explorer = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, **BOUNDED
-        )
-        with pytest.raises(RuntimeError, match="injected crash"):
-            explorer.explore(root, pids, checkpoint=crasher)
-        assert path.exists()  # the snapshot survived the crash
-
-        par = explorer.explore(
-            root, pids, checkpoint=LevelCheckpoint(path)
-        )
-        assert result_tuple(seq) == result_tuple(par)
-        assert not path.exists()  # cleared on completion
-
-    def test_completed_exploration_clears_checkpoint(
-        self, tmp_path, worker_pool, workers
-    ):
-        system = System(CommitAdoptRounds(3))
-        root = system.initial_configuration([0, 1, 0])
-        pids = frozenset({0, 1, 2})
-        path = tmp_path / "levels"
-        par = ShardedExplorer(
-            system, workers=workers, pool=worker_pool, **BOUNDED
-        ).explore(root, pids, checkpoint=LevelCheckpoint(path))
-        seq = Explorer(system, **BOUNDED).explore(root, pids)
-        assert result_tuple(seq) == result_tuple(par)
-        assert not path.exists()
 
 
 class TestGuardedCheckpointResume:
@@ -473,6 +359,30 @@ class TestConcurrentOpenRefused:
         journal = CheckpointJournal(path, protocol="rounds:3", n=3)
         journal.close()
         assert load_checkpoint(path) is not None
+
+    def test_failed_oracle_setup_releases_the_lock(self, tmp_path):
+        # The oracle's cache fingerprint refuses a coin tape without a
+        # stable identity (a closure).  That failure comes after the
+        # journal took its lock, which must not outlive the call: the
+        # next run on the same path in this process has to succeed.
+        from repro.parallel import UnstableKeyError
+
+        def closure_tape():
+            def tape(pid, index):
+                return 0
+            return tape
+
+        path = tmp_path / "setup.ckpt"
+        with pytest.raises(UnstableKeyError):
+            run_adversary_guarded(
+                System(CommitAdoptRounds(3), tape=closure_tape()),
+                cache_dir=tmp_path / "cache",
+                checkpoint=str(path),
+            )
+        outcome = run_adversary_guarded(
+            System(CommitAdoptRounds(3)), checkpoint=str(path)
+        )
+        assert outcome.status == "certificate"
 
     def test_cli_resume_against_a_held_journal_exits_1_cleanly(
         self, tmp_path

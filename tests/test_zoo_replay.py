@@ -5,8 +5,8 @@ under ``corpus/zoo/`` it asserts:
 
 * the file's bytes are exactly the canonical re-encoding of its own
   recipe (no drifted hand edits), and its digest matches its content;
-* the sequential, sharded (2 workers), POR, incremental-cold and
-  incremental-warm engines produce byte-identical exploration
+* the sequential, POR, incremental-cold, incremental-warm and
+  compiled-kernel engines produce byte-identical exploration
   fingerprints -- decided values, witness schedules, visited counts,
   completeness flags -- over the fixed input sweep;
 * every witness schedule any engine hands out replays to its decision
@@ -68,24 +68,21 @@ def test_specimen_digest_matches_content(specimen):
 
 
 @pytest.mark.parametrize("specimen", SPECIMENS, ids=IDS)
-def test_all_engines_agree_on_specimen(specimen, worker_pool):
+def test_all_engines_agree_on_specimen(specimen):
     report = differential(
         specimen.build(),
         DEFAULT_ENGINES,
         max_configs=20_000,
-        pool=worker_pool,
     )
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
 
 
 @pytest.mark.parametrize("specimen", SPECIMENS[:3], ids=IDS[:3])
-def test_fingerprints_are_byte_identical_not_just_equal(specimen, worker_pool):
+def test_fingerprints_are_byte_identical_not_just_equal(specimen):
     protocol = specimen.build()
     baseline = fingerprint_bytes(
         engine_fingerprint(protocol, DEFAULT_ENGINES[0])
     )
     for spec in DEFAULT_ENGINES[1:]:
-        got = fingerprint_bytes(
-            engine_fingerprint(protocol, spec, pool=worker_pool)
-        )
+        got = fingerprint_bytes(engine_fingerprint(protocol, spec))
         assert got == baseline, f"{spec.name} fingerprint bytes differ"
