@@ -7,8 +7,12 @@ so every memo is one dictionary probe.  Memoising pure functions is
 invisible to the search, so the *only* observable difference against a
 cold oracle must be wall-clock.  Measured, per workload:
 
-* paired-median adversary wall-clock, cold (``incremental=False``) vs
-  incremental (the default), interleaved rounds so drift cancels;
+* paired-median adversary wall-clock, cold
+  (``ValencyOracle(incremental=False)``) vs incremental (the default),
+  interleaved rounds so drift cancels.  Both legs run on the reference
+  interpreter (:class:`~repro.model.system.InterpretedSystem`), the
+  engine the memo tables were built for; on the compiled kernel the
+  engine's share is smaller (EXPERIMENTS.md E18);
 * byte-equality of the serialized certificates (asserted before any
   timing is believed);
 * the engine's own hit counters (``intern.hits``, ``incremental.*``)
@@ -32,7 +36,8 @@ from pathlib import Path
 from repro.analysis.report import print_table
 from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
-from repro.model.system import System
+from repro.core.valency import ValencyOracle
+from repro.model.system import InterpretedSystem
 from repro.obs import MetricsRegistry, observe
 from repro.protocols.consensus import CommitAdoptRounds
 
@@ -51,13 +56,15 @@ RESULT_FILE = Path(__file__).parent.parent / "BENCH_incremental.json"
 
 def adversary(n: int, incremental: bool):
     configs, depth = BUDGETS.get(n, (80_000, 100))
-    return space_lower_bound(
-        System(CommitAdoptRounds(n)),
+    system = InterpretedSystem(CommitAdoptRounds(n))
+    with ValencyOracle(
+        system,
         strict=False,
         max_configs=configs,
         max_depth=depth,
         incremental=incremental,
-    )
+    ) as oracle:
+        return space_lower_bound(system, oracle=oracle)
 
 
 def certificates_identical(n: int) -> bool:

@@ -7,9 +7,11 @@ walks ``Configuration`` objects.  Lowering is invisible to the search
 by construction (``tests/test_kernel_differential.py``), so the *only*
 observable difference must be wall-clock.  Measured, per workload:
 
-* paired-median adversary wall-clock, interpreted (``kernel="interp"``)
-  vs compiled, both with ``incremental=False`` so the comparison is
-  engine vs engine, interleaved rounds so drift cancels;
+* paired-median adversary wall-clock, interpreted
+  (:class:`~repro.model.system.InterpretedSystem`) vs compiled
+  (``System``), both on a cold oracle
+  (``ValencyOracle(incremental=False)``) so the comparison is engine vs
+  engine, interleaved rounds so drift cancels;
 * byte-equality of the serialized certificates (asserted before any
   timing is believed);
 * the honest ratio against the *incremental interpreter* (the previous
@@ -40,7 +42,8 @@ from repro.analysis.explorer import Explorer
 from repro.analysis.report import print_table
 from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
-from repro.model.system import System
+from repro.core.valency import ValencyOracle
+from repro.model.system import InterpretedSystem, System
 from repro.obs import MetricsRegistry, observe
 from repro.protocols.consensus import CommitAdoptRounds
 
@@ -65,21 +68,24 @@ RAW_CONFIGS = 100_000
 RESULT_FILE = Path(__file__).parent.parent / "BENCH_kernel.json"
 
 
-def adversary(n: int, kernel: str, incremental: bool = False):
+def adversary(n: int, system_class=System, incremental: bool = False):
     configs, depth = BUDGETS.get(n, (80_000, 100))
-    return space_lower_bound(
-        System(CommitAdoptRounds(n)),
+    system = system_class(CommitAdoptRounds(n))
+    with ValencyOracle(
+        system,
         strict=False,
         max_configs=configs,
         max_depth=depth,
         incremental=incremental,
-        kernel=kernel,
-    )
+    ) as oracle:
+        return space_lower_bound(system, oracle=oracle)
 
 
 def certificates_identical(n: int) -> bool:
     """Byte-equality gate: timing a wrong answer is meaningless."""
-    return to_json(adversary(n, "interp")) == to_json(adversary(n, "compiled"))
+    return to_json(adversary(n, InterpretedSystem)) == to_json(
+        adversary(n, System)
+    )
 
 
 def paired_medians(n: int, repeats: int = 5):
@@ -94,13 +100,13 @@ def paired_medians(n: int, repeats: int = 5):
     gc.disable()
     try:
         for _ in range(repeats):
-            for kernel, samples in (
-                ("interp", interp_samples),
-                ("compiled", compiled_samples),
+            for system_class, samples in (
+                (InterpretedSystem, interp_samples),
+                (System, compiled_samples),
             ):
                 gc.collect()
                 start = time.perf_counter()
-                adversary(n, kernel)
+                adversary(n, system_class)
                 samples.append(time.perf_counter() - start)
     finally:
         if was_enabled:
@@ -116,18 +122,16 @@ def median(values) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def timed_adversary(n: int, kernel: str, incremental: bool = False) -> float:
+def timed_adversary(n: int, system_class, incremental: bool = False) -> float:
     start = time.perf_counter()
-    adversary(n, kernel, incremental=incremental)
+    adversary(n, system_class, incremental=incremental)
     return time.perf_counter() - start
 
 
-def raw_exploration(kernel: str, n: int = RAW_N, configs: int = RAW_CONFIGS):
+def raw_exploration(system_class, n: int = RAW_N, configs: int = RAW_CONFIGS):
     """One flat bounded BFS -- the kernel's headline workload."""
-    system = System(CommitAdoptRounds(n))
-    explorer = Explorer(
-        system, max_configs=configs, strict=False, kernel=kernel
-    )
+    system = system_class(CommitAdoptRounds(n))
+    explorer = Explorer(system, max_configs=configs, strict=False)
     root = system.initial_configuration([0] + [1] * (n - 1))
     start = time.perf_counter()
     result = explorer.explore(root, tuple(range(n)))
@@ -140,7 +144,7 @@ def kernel_counters(n: int):
     """Compile/batch/fallback counters of one observed compiled run."""
     registry = MetricsRegistry()
     with observe(metrics=registry):
-        adversary(n, "compiled")
+        adversary(n, System)
     counters = registry.snapshot()["counters"]
     histograms = registry.snapshot()["histograms"]
     batch = histograms.get("kernel.batch", {})
@@ -164,7 +168,7 @@ def measure(max_n: int = 5, repeats: int = 5):
         )
         interp_s, compiled_s = paired_medians(n, repeats)
         speedup = interp_s / compiled_s if compiled_s else float("inf")
-        incr_s = timed_adversary(n, "interp", incremental=True)
+        incr_s = timed_adversary(n, InterpretedSystem, incremental=True)
         vs_incr = incr_s / compiled_s if compiled_s else float("inf")
         counters = kernel_counters(n)
         batches = counters["batch.count"]
@@ -190,8 +194,8 @@ def measure(max_n: int = 5, repeats: int = 5):
             "certificates_identical": True,
             **counters,
         }
-    raw_interp_s, visited = raw_exploration("interp")
-    raw_compiled_s, visited_c = raw_exploration("compiled")
+    raw_interp_s, visited = raw_exploration(InterpretedSystem)
+    raw_compiled_s, visited_c = raw_exploration(System)
     assert visited == visited_c, (visited, visited_c)
     payload["raw_exploration"] = {
         "workload": f"rounds:{RAW_N} flat BFS, {visited} configurations",
@@ -208,7 +212,7 @@ def sweep_n8(payload) -> list:
     """rounds:8 joins the default sweep compiled-only (the interpreted
     leg would take ~13 minutes; the whole point of the row is that the
     kernel makes the workload routine)."""
-    elapsed = timed_adversary(8, "compiled")
+    elapsed = timed_adversary(8, System)
     payload["rounds:8"] = {"compiled_s": elapsed, "interp_s": None}
     return [
         "rounds:8", "(skipped)", f"{elapsed * 1e3:.0f}", "-", "-", "-",
@@ -223,7 +227,7 @@ def main(max_n: int = 5, repeats: int = 5) -> None:
     raw = payload["raw_exploration"]
     print_table(
         f"E21: compiled exploration kernel (paired medians of {repeats} "
-        "interleaved rounds; both adversary legs incremental=False)",
+        "interleaved rounds; both adversary legs on a cold oracle)",
         [
             "workload",
             "interp (ms)",
@@ -257,14 +261,14 @@ def test_kernel_speedup_n5():
 
 def test_raw_exploration_speedup():
     """The flat-BFS record: >= 10x on one large exploration."""
-    interp_s, visited = raw_exploration("interp")
-    compiled_s, visited_c = raw_exploration("compiled")
+    interp_s, visited = raw_exploration(InterpretedSystem)
+    compiled_s, visited_c = raw_exploration(System)
     assert visited == visited_c
     assert interp_s / compiled_s >= MIN_RAW_SPEEDUP, (interp_s, compiled_s)
 
 
 def test_adversary_benchmark(benchmark):
-    certificate = benchmark(adversary, 3, "compiled")
+    certificate = benchmark(adversary, 3, System)
     assert certificate.bound == 2
 
 

@@ -1,14 +1,9 @@
-"""E17 -- static analysis cost and POR edge reduction.
+"""E17 -- static analysis cost.
 
-Two claims backed by numbers:
-
-* ``repro lint`` is cheap: full static analysis of a bundled protocol
-  (CFG construction, reachability, register footprints, Theorem 1
-  contrapositive) costs well under the budget of a single exploration
-  step, so linting before every adversary run is free in context.
-* the commuting-diamond partial-order reduction (``--por``) skips a
-  material fraction of explorer edges while visiting the *identical*
-  configuration set -- asserted here on every workload, not assumed.
+``repro lint`` is cheap: full static analysis of a bundled protocol
+(CFG construction, reachability, register footprints, Theorem 1
+contrapositive) costs well under the budget of a single exploration
+step, so linting before every adversary run is free in context.
 
 Standalone:  python benchmarks/bench_lint.py [repeats]
 Benchmark:   pytest benchmarks/bench_lint.py --benchmark-only
@@ -20,11 +15,8 @@ import json
 import time
 from pathlib import Path
 
-from repro.analysis.explorer import Explorer
 from repro.analysis.report import print_table
 from repro.lint import lint_protocol
-from repro.model.system import System
-from repro.obs import MetricsRegistry, observe
 from repro.protocols.consensus import (
     CommitAdoptRounds,
     SplitBrainConsensus,
@@ -36,19 +28,6 @@ LINT_WORKLOADS = [
     ("rounds:3", lambda: CommitAdoptRounds(3)),
     ("tas:2", lambda: TasConsensus(2)),
     ("split-brain:4", lambda: SplitBrainConsensus(4)),
-]
-
-#: (name, protocol factory, explorer kwargs) for the POR table.  The
-#: rounds:3 graph is bounded by depth so the full/pruned pair stays in
-#: benchmark territory; rounds:2 and tas:2 explore exhaustively.
-POR_WORKLOADS = [
-    ("rounds:2", lambda: CommitAdoptRounds(2), {}),
-    ("tas:2", lambda: TasConsensus(2), {}),
-    (
-        "rounds:3 (depth 14)",
-        lambda: CommitAdoptRounds(3),
-        {"max_depth": 14, "strict": False},
-    ),
 ]
 
 RESULT_FILE = Path(__file__).parent.parent / "BENCH_lint.json"
@@ -96,56 +75,6 @@ def measure_lint(repeats: int):
     return rows
 
 
-def _explore(make, por: bool, **kwargs):
-    """One full exploration; returns (visited, edges, pruned, seconds)."""
-    system = System(make())
-    inputs = [pid % 2 for pid in range(system.protocol.n)]
-    root = system.initial_configuration(inputs)
-    pids = frozenset(range(system.protocol.n))
-    registry = MetricsRegistry()
-    start = time.perf_counter()
-    with observe(metrics=registry):
-        result = Explorer(system, por=por, **kwargs).explore(root, pids)
-    elapsed = time.perf_counter() - start
-    counters = registry.snapshot()["counters"]
-    return (
-        result.visited,
-        counters.get("explorer.edges", 0),
-        counters.get("explorer.por_pruned", 0),
-        elapsed,
-    )
-
-
-def measure_por():
-    rows = []
-    for name, make, kwargs in POR_WORKLOADS:
-        base_visited, base_edges, base_pruned, base_s = _explore(
-            make, por=False, **kwargs
-        )
-        por_visited, por_edges, por_pruned, por_s = _explore(
-            make, por=True, **kwargs
-        )
-        # The reduction's whole contract: identical results, less work.
-        assert por_visited == base_visited, (name, base_visited, por_visited)
-        assert base_pruned == 0
-        assert por_edges + por_pruned == base_edges, (
-            name, base_edges, por_edges, por_pruned,
-        )
-        rows.append(
-            {
-                "workload": name,
-                "visited": base_visited,
-                "base_edges": base_edges,
-                "por_edges": por_edges,
-                "pruned": por_pruned,
-                "edge_reduction": por_pruned / base_edges if base_edges else 0.0,
-                "base_ms": base_s * 1e3,
-                "por_ms": por_s * 1e3,
-            }
-        )
-    return rows
-
-
 def main(repeats: int = 9) -> None:
     lint_rows = measure_lint(repeats)
     print_table(
@@ -164,32 +93,12 @@ def main(repeats: int = 9) -> None:
         "Theorem 1 contrapositive.",
     )
 
-    por_rows = measure_por()
-    print_table(
-        "E17b: POR edge reduction (visited configurations identical)",
-        ["workload", "visited", "edges", "edges (POR)", "pruned", "saved"],
-        [
-            [
-                row["workload"],
-                str(row["visited"]),
-                str(row["base_edges"]),
-                str(row["por_edges"]),
-                str(row["pruned"]),
-                f"{row['edge_reduction']:.0%}",
-            ]
-            for row in por_rows
-        ],
-        note="asserted per row: visited sets identical and "
-        "edges(POR) + pruned == edges(base).",
-    )
-
     RESULT_FILE.write_text(
         json.dumps(
             {
-                "bench": "lint-and-por",
+                "bench": "lint",
                 "repeats": repeats,
                 "lint": lint_rows,
-                "por": por_rows,
             },
             indent=2,
             sort_keys=True,
@@ -198,12 +107,6 @@ def main(repeats: int = 9) -> None:
         encoding="utf-8",
     )
     print(f"results written to {RESULT_FILE}")
-
-
-def test_por_reduces_edges_without_changing_results():
-    """The satellite gate: pruning is real and results are identical."""
-    rows = measure_por()
-    assert all(row["pruned"] > 0 for row in rows), rows
 
 
 def test_lint_cost_is_bounded():

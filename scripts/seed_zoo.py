@@ -3,8 +3,8 @@
 Each specimen pins a shape the fuzzer's random walk is unlikely to hit
 often but the engines must agree on forever: the split-brain violation
 family, the |W| = n-1 boundary of the paper's Theorem 1, Ovens-style
-swap-object consensus, decide-free livelocks, POR-pruning-heavy read
-lattices, and a validity breaker.  Hand-picked entries bypass the
+swap-object consensus, decide-free livelocks, read lattices full of
+commuting steps, and a validity breaker.  Hand-picked entries bypass the
 campaign's boring-filter by design -- curation outranks heuristics.
 
 Idempotent: adding an already-present digest is a no-op, so re-running
@@ -122,9 +122,10 @@ def _specimens():
         "deduplication alone, identically in every engine",
     }
 
-    # 6. POR-pruning-heavy: three registers read in every order -- a
-    #    lattice of commuting steps where partial-order reduction prunes
-    #    most edges.  POR results must stay bit-identical regardless.
+    # 6. Commuting-read lattice: three registers read in every order,
+    #    so most edges reach an already-discovered configuration.  Its
+    #    name and tag date from the partial-order reduction it was
+    #    picked to stress; they are the specimen's recorded provenance.
     yield TableProtocol(
         n=3,
         registers=3,

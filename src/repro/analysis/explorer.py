@@ -11,35 +11,12 @@ Exploration is exact: if the (canonical) reachable graph is larger than
 the configured budget, :class:`~repro.errors.ExplorationLimitError` is
 raised rather than returning a possibly-wrong answer.
 
-Partial-order reduction (``por=True``)
---------------------------------------
-The BFS wastes much of its time stepping *commuting diamonds*: if
-processes p and q are poised at independent operations in C (disjoint
-registers, or read/read on one register -- see
-:mod:`repro.lint.independence`), then ``C.p.q`` and ``C.q.p`` are the
-same configuration, and the second derivation is pure re-computation
-that deduplication discards only after paying for the step and the
-canonical key.  With ``por=True`` the explorer skips exactly those
-derivations: when expanding a configuration X first discovered via pid
-``p`` from parent C, a pid ``q < p`` whose poised operation commutes
-with the one p took is not stepped.
-
-Why the pruned search is *bit-identical* (not merely equivalent): q's
-local state in X equals its state in C (only p moved), so q was enabled
-at C with the same operation, and commutation gives ``X.q = (C.q).p``
-as configurations.  ``C.q`` was discovered while expanding C *before* X
-was (pids are expanded in ascending order and q < p), so it precedes X
-in the FIFO queue and ``(C.q).p`` -- or its canonical-key equivalent,
-key-equality being preserved by transitions per the
-:meth:`~repro.model.process.Protocol.canonical_key` soundness contract
--- is recorded in ``parents`` before X is expanded.  Inductively the
-lexicographically-first shortest derivation of every configuration is
-never pruned (were it pruned, the commuted derivation through the
-earlier sibling would be first, a contradiction), so the parent-pointer
-map, the discovery order, the decision sets, the witness schedules, the
-visited count, the budget tick sequence and every early-exit point are
-exactly those of the unpruned search.  Only the pruned step/key
-computations are saved; ``explorer.por_pruned`` counts them.
+Engine selection is by the system's type: an exact
+:class:`~repro.model.system.System` runs on the compiled kernel
+(:mod:`repro.kernel`), any subclass -- the reference
+:class:`~repro.model.system.InterpretedSystem`, fault-injecting
+wrappers -- runs on this module's object-walking loop.  Both return
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -115,8 +92,8 @@ class ExplorationResult:
 
         True iff each recorded schedule, applied to the root
         configuration, reaches a configuration where its value is
-        decided.  Used by the differential tests to check that kernel,
-        POR and cached runs hand out schedules a fresh system accepts.
+        decided.  Used by the differential tests to check that kernel
+        and cached runs hand out schedules a fresh system accepts.
         """
         for value, schedule in self.decided.items():
             final, _ = system.run(self.root, schedule)
@@ -135,9 +112,7 @@ class Explorer:
         max_depth: Optional[int] = None,
         strict: bool = True,
         budget=None,
-        por: bool = False,
         engine=None,
-        kernel: str = "interp",
     ):
         """``strict`` explorers raise :class:`ExplorationLimitError` when
         the configuration budget is exceeded; non-strict explorers return
@@ -152,10 +127,6 @@ class Explorer:
         into a run that terminates with
         :class:`~repro.errors.BudgetExhausted` instead of stalling.
 
-        ``por`` enables the sound partial-order reduction described in
-        the module docstring: results are bit-identical, redundant
-        commuting-diamond derivations are skipped.
-
         ``engine`` is an optional
         :class:`~repro.core.incremental.IncrementalEngine`: the BFS then
         routes its pure model calls (step, canonical key, decisions)
@@ -164,21 +135,19 @@ class Explorer:
         is invisible to the search -- results, metrics and early-exit
         points are bit-identical with or without an engine.
 
-        ``kernel`` selects the exploration engine: ``"interp"`` (this
-        class's object-walking loop) or ``"compiled"`` (the packed-row
-        kernel of :mod:`repro.kernel`, bit-identical by the same
-        differential contract).  An unsupported system falls back to
-        the interpreter automatically; the reason is recorded in
-        ``kernel.fallback.*`` counters, a ``kernel.fallback`` trace
-        event, and :attr:`kernel_fallback_reason`."""
+        The exploration engine is chosen by the system: one the kernel
+        compiles runs on the packed-row kernel of :mod:`repro.kernel`
+        (bit-identical by the differential contract), any other on this
+        class's object-walking loop.  The reason a system runs on the
+        interpreter is recorded in ``kernel.fallback.*`` counters, a
+        ``kernel.fallback`` trace event, and
+        :attr:`kernel_fallback_reason`."""
         self.system = system
         self.max_configs = max_configs
         self.max_depth = max_depth
         self.strict = strict
         self.budget = budget
-        self.por = por
         self.engine = engine
-        self.kernel = kernel
         self.kernel_fallback_reason: Optional[str] = None
         self._kernel_explorer = None
         self._kernel_resolved = False
@@ -236,20 +205,18 @@ class Explorer:
         non-strict budget truncation are reported via ``truncated`` /
         ``complete`` on the result.
         """
-        if self.kernel == "compiled":
-            kernel_explorer = self._resolve_kernel()
-            if kernel_explorer is not None:
-                return kernel_explorer.explore(
-                    root,
-                    pids,
-                    stop_when,
-                    max_configs=self.max_configs,
-                    max_depth=self.max_depth,
-                    strict=self.strict,
-                    budget=self.budget,
-                    por=self.por,
-                    engine=self.engine,
-                )
+        kernel_explorer = self._resolve_kernel()
+        if kernel_explorer is not None:
+            return kernel_explorer.explore(
+                root,
+                pids,
+                stop_when,
+                max_configs=self.max_configs,
+                max_depth=self.max_depth,
+                strict=self.strict,
+                budget=self.budget,
+                engine=self.engine,
+            )
         system = self.system
         protocol = system.protocol
         pid_set = frozenset(pids)
@@ -267,7 +234,6 @@ class Explorer:
         metrics = get_metrics()
         edges_c = metrics.counter("explorer.edges")
         dedup_c = metrics.counter("explorer.dedup_hits")
-        pruned_c = metrics.counter("explorer.por_pruned")
         branching_h = metrics.histogram("explorer.branching", BRANCHING_EDGES)
         level_sizes: Dict[int, int] = {0: 1}
 
@@ -305,10 +271,7 @@ class Explorer:
         parents: Dict[Hashable, Optional[Tuple[Hashable, int]]] = {}
         root_key = key_of(root)
         parents[root_key] = None
-        # Queue entries carry the (pid, operation) edge over which the
-        # configuration was first discovered (None at the root); the POR
-        # skip condition is evaluated against it.
-        queue = deque([(root, root_key, 0, None)])
+        queue = deque([(root, root_key, 0)])
         found: Dict[Hashable, Hashable] = {}  # value -> deciding key
 
         def record_decisions(config: Configuration, key: Hashable) -> None:
@@ -352,13 +315,9 @@ class Explorer:
         if stop_when is not None and stop_when <= found.keys():
             return finish(complete=False)
 
-        por = self.por
-        if por:
-            from repro.lint.independence import operations_commute
-
         sorted_pids = sorted(pid_set)
         while queue:
-            config, key, depth, via = queue.popleft()
+            config, key, depth = queue.popleft()
             if self.budget is not None:
                 self.budget.tick()
             if self.max_depth is not None and depth >= self.max_depth:
@@ -366,19 +325,7 @@ class Explorer:
                 continue
             branch = 0
             for pid in sorted_pids:
-                op = poised_of(config, pid)
-                if op is None:
-                    continue
-                if (
-                    por
-                    and via is not None
-                    and pid < via[0]
-                    and operations_commute(via[1], op)
-                ):
-                    # Commuting diamond: this successor was already
-                    # derived through the earlier sibling (see module
-                    # docstring); skip the step and the key.
-                    pruned_c.inc()
+                if poised_of(config, pid) is None:
                     continue
                 branch += 1
                 edges_c.inc()
@@ -408,7 +355,7 @@ class Explorer:
                 if stop_when is not None and stop_when <= found.keys():
                     return finish(complete=False)
                 level_sizes[depth + 1] = level_sizes.get(depth + 1, 0) + 1
-                queue.append((succ, succ_key, depth + 1, (pid, op)))
+                queue.append((succ, succ_key, depth + 1))
             branching_h.observe(branch)
 
         return finish(complete=True)
@@ -441,28 +388,17 @@ class Explorer:
         system = self.system
         protocol = system.protocol
         pid_set = frozenset(pids)
-        por = self.por
-        if por:
-            from repro.lint.independence import operations_commute
         seen = {protocol.canonical_query_key(root, pid_set)}
-        queue = deque([(root, (), 0, None)])
+        queue = deque([(root, (), 0)])
         while queue:
-            config, path, depth, via = queue.popleft()
+            config, path, depth = queue.popleft()
             if self.budget is not None:
                 self.budget.tick()
             yield config, path
             if self.max_depth is not None and depth >= self.max_depth:
                 continue
             for pid in sorted(pid_set):
-                op = system.poised(config, pid)
-                if op is None:
-                    continue
-                if (
-                    por
-                    and via is not None
-                    and pid < via[0]
-                    and operations_commute(via[1], op)
-                ):
+                if system.poised(config, pid) is None:
                     continue
                 succ, _ = system.step(config, pid)
                 succ_key = protocol.canonical_query_key(succ, pid_set)
@@ -484,4 +420,4 @@ class Explorer:
                         )
                     return
                 seen.add(succ_key)
-                queue.append((succ, path + (pid,), depth + 1, (pid, op)))
+                queue.append((succ, path + (pid,), depth + 1))

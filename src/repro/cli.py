@@ -27,9 +27,10 @@ The CLI names protocols as ``family:n[:extra]``, e.g. ``rounds:4``,
 
 ``adversary`` and ``audit`` accept ``--cache-dir`` (persistent valency
 cache; defaults to ``~/.cache/repro`` when the ``cache`` command
-manages it explicitly) and ``--por`` (partial-order reduction: prune
-exploration edges whose targets are provably already known, results
-still bit-identical; see :mod:`repro.lint`).
+manages it explicitly).  Every command explores on the compiled kernel
+(:mod:`repro.kernel`) with the incremental valency engine; there are no
+engine flags.  The reference interpreter is reached by building an
+:class:`~repro.model.system.InterpretedSystem` instead of a ``System``.
 
 ``lint`` has its own exit-code nuance within the same contract: 0 means
 no diagnostics beyond ``info``, 2 means warnings or errors were
@@ -58,7 +59,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import (
-    AdversaryError,
     BudgetExhausted,
     CertificateError,
     ExplorationLimitError,
@@ -72,7 +72,6 @@ from repro.analysis.checker import (
 from repro.analysis.report import describe_limit, print_table
 from repro.core.serialize import certificate_from_json, to_json
 from repro.faults.chaos import SCENARIOS as CHAOS_SCENARIOS
-from repro.core.theorem import space_lower_bound
 from repro.model.system import System
 from repro.perturbable import covering_induction
 from repro.perturbable.objects import (
@@ -217,48 +216,40 @@ def _load_resume(path: str, spec: str):
 
 
 def cmd_adversary(args) -> int:
-    from repro.core.theorem import space_lower_bound_auto
-    from repro.faults import run_adversary_guarded
+    from repro.faults import run_adversary_auto, run_adversary_guarded
 
     protocol = parse_protocol(args.protocol)
     system = System(protocol)
     budget = _make_budget(args)
-    guarded = budget is not None or args.resume is not None
-    if args.auto and not guarded:
-        try:
-            certificate = space_lower_bound_auto(
-                system, cache_dir=args.cache_dir, por=args.por,
-                incremental=args.incremental, kernel=args.kernel,
-            )
-        except AdversaryError as exc:
-            print(f"construction failed: {exc}")
-            print("(the protocol is likely broken; try `repro check`)")
-            return EXIT_VIOLATION
-        print(certificate.summary())
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(to_json(certificate))
-            print(f"certificate written to {args.out}")
-        return EXIT_OK
-
     resume = None
-    if args.resume is not None and os.path.exists(args.resume):
-        resume = _load_resume(args.resume, args.protocol)
-        if resume is not None:
-            print(f"resuming: {resume.summary()}")
-    outcome = run_adversary_guarded(
-        system,
-        budget=budget,
-        resume=resume,
-        max_configs=args.max_configs,
-        max_depth=args.max_depth,
-        spec=args.protocol,
-        cache_dir=args.cache_dir,
-        por=args.por,
-        incremental=args.incremental,
-        checkpoint=args.resume,
-        kernel=args.kernel,
-    )
+    if args.auto:
+        if budget is not None or args.resume is not None:
+            raise SystemExit(
+                "--auto escalates the oracle budgets itself; it cannot be "
+                "combined with --budget, --deadline or --resume"
+            )
+        outcome = run_adversary_auto(
+            system,
+            max_configs=args.max_configs,
+            max_depth=args.max_depth,
+            spec=args.protocol,
+            cache_dir=args.cache_dir,
+        )
+    else:
+        if args.resume is not None and os.path.exists(args.resume):
+            resume = _load_resume(args.resume, args.protocol)
+            if resume is not None:
+                print(f"resuming: {resume.summary()}")
+        outcome = run_adversary_guarded(
+            system,
+            budget=budget,
+            resume=resume,
+            max_configs=args.max_configs,
+            max_depth=args.max_depth,
+            spec=args.protocol,
+            cache_dir=args.cache_dir,
+            checkpoint=args.resume,
+        )
     if outcome.status == "certificate":
         print(outcome.certificate.summary())
         if args.out:
@@ -274,6 +265,8 @@ def cmd_adversary(args) -> int:
             print(f"witness schedule ({len(witness)} steps): {list(witness)}")
         return EXIT_VIOLATION
     print(outcome.partial.summary())
+    if args.auto:
+        print(f"--auto {outcome.partial.note}")
     if resume is not None and len(outcome.partial.queries) <= len(
         resume.queries
     ):
@@ -345,9 +338,7 @@ def cmd_audit(args) -> int:
             worst = max(worst, EXIT_VIOLATION)
         outcome = run_adversary_guarded(
             system, budget=_make_budget(args), max_configs=args.max_configs,
-            max_depth=args.max_depth, spec=spec,
-            cache_dir=args.cache_dir, por=args.por,
-            incremental=args.incremental, kernel=args.kernel,
+            max_depth=args.max_depth, spec=spec, cache_dir=args.cache_dir,
         )
         if outcome.status == "certificate":
             bound = f"{outcome.certificate.bound} pinned"
@@ -876,20 +867,6 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _fuzz_engines(kernel: str):
-    """The differential matrix for a fuzz command.
-
-    ``kernel="interp"`` drops the compiled-kernel leg (the matrix is
-    then the four interpreter engines); ``"compiled"`` keeps all five.
-    """
-    from repro.fuzz import DEFAULT_ENGINES
-
-    return tuple(
-        spec for spec in DEFAULT_ENGINES
-        if kernel == "compiled" or spec.kernel == "interp"
-    )
-
-
 def cmd_fuzz_run(args) -> int:
     from repro.fuzz import run_campaign
     from repro.fuzz.campaign import CampaignConfig
@@ -898,7 +875,6 @@ def cmd_fuzz_run(args) -> int:
         seed=args.seed,
         count=args.count,
         mutants=args.mutants,
-        engines=_fuzz_engines(args.kernel),
         max_configs=args.max_configs,
         max_depth=args.max_depth,
         budget_steps=args.budget,
@@ -957,7 +933,7 @@ def cmd_fuzz_zoo_list(args) -> int:
 
 
 def cmd_fuzz_zoo_replay(args) -> int:
-    from repro.fuzz import Zoo, differential
+    from repro.fuzz import DEFAULT_ENGINES, Zoo, differential
 
     zoo = Zoo(args.zoo)
     if args.digest:
@@ -967,12 +943,11 @@ def cmd_fuzz_zoo_replay(args) -> int:
     if not specimens:
         print(f"zoo at {zoo.root} is empty")
         return EXIT_OK
-    engines = _fuzz_engines(args.kernel)
     divergent = 0
     for specimen in specimens:
         report = differential(
             specimen.build(),
-            engines,
+            DEFAULT_ENGINES,
             max_configs=args.max_configs,
             max_depth=args.max_depth,
         )
@@ -987,7 +962,7 @@ def cmd_fuzz_zoo_replay(args) -> int:
             )
     print(
         f"replayed {len(specimens)} specimen(s) through "
-        f"{len(engines)} engines: {divergent} divergent"
+        f"{len(DEFAULT_ENGINES)} engines: {divergent} divergent"
     )
     return EXIT_VIOLATION if divergent else EXIT_OK
 
@@ -1038,28 +1013,11 @@ def _observed(args):
                 handle.write("\n")
 
 
-def _add_engine_flags(p) -> None:
+def _add_cache_flag(p) -> None:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist valency results under DIR so reruns skip "
         "re-exploration",
-    )
-    p.add_argument(
-        "--por", action="store_true",
-        help="prune commuting exploration edges (partial-order "
-        "reduction; results are bit-identical either way)",
-    )
-    p.add_argument(
-        "--no-incremental", dest="incremental", action="store_false",
-        help="disable the incremental valency engine (configuration "
-        "interning + frontier reuse; on by default, results are "
-        "bit-identical either way)",
-    )
-    p.add_argument(
-        "--kernel", choices=("compiled", "interp"), default="compiled",
-        help="exploration kernel: 'compiled' lowers the protocol to the "
-        "packed-integer batch engine where supported (automatic recorded "
-        "fallback otherwise); results are bit-identical either way",
     )
 
 
@@ -1079,7 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument(
         "--auto", action="store_true",
-        help="escalate oracle budgets automatically on failure",
+        help="retry a failed construction at doubled oracle budgets, up "
+        "to 4 runs in all (not with --budget, --deadline or --resume)",
     )
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument(
@@ -1095,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint journal: resume from it if present; every "
         "computed oracle answer is appended to it as the run goes",
     )
-    _add_engine_flags(p)
+    _add_cache_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_adversary)
 
@@ -1118,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None,
         help="per-protocol wall-clock deadline in seconds",
     )
-    _add_engine_flags(p)
+    _add_cache_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_audit)
 
@@ -1282,11 +1241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a deliberately sabotaged engine to the matrix (the "
         "oracle must catch it; self-test of the harness)",
     )
-    fp.add_argument(
-        "--kernel", choices=("compiled", "interp"), default="compiled",
-        help="'interp' drops the compiled-kernel leg from the "
-        "differential matrix",
-    )
     _add_obs_flags(fp)
     fp.set_defaults(func=cmd_fuzz_run)
 
@@ -1314,11 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     zr.add_argument("--max-configs", type=int, default=20_000)
     zr.add_argument("--max-depth", type=int, default=None)
-    zr.add_argument(
-        "--kernel", choices=("compiled", "interp"), default="compiled",
-        help="'interp' drops the compiled-kernel leg from the "
-        "differential matrix",
-    )
     _add_obs_flags(zr)
     zr.set_defaults(func=cmd_fuzz_zoo_replay)
 

@@ -47,7 +47,7 @@ from repro.core.lemmas import (
     truncate_before_uncovered_write,
 )
 from repro.core.construction import Lemma4Result, lemma4
-from repro.core.theorem import space_lower_bound, space_lower_bound_auto
+from repro.core.theorem import space_lower_bound
 from repro.core.certificate import SpaceBoundCertificate
 
 __all__ = [
@@ -69,6 +69,5 @@ __all__ = [
     "lemma3",
     "lemma4",
     "space_lower_bound",
-    "space_lower_bound_auto",
     "truncate_before_uncovered_write",
 ]

@@ -36,9 +36,6 @@ def space_lower_bound(
     strict: bool = True,
     oracle: Optional[ValencyOracle] = None,
     cache_dir=None,
-    por: bool = False,
-    incremental: bool = True,
-    kernel: str = "interp",
 ) -> SpaceBoundCertificate:
     """Run the Theorem 1 adversary and return a validated certificate.
 
@@ -55,8 +52,11 @@ def space_lower_bound(
     with a concrete consensus-violation witness.
 
     ``oracle`` lets callers inject a pre-built valency oracle -- a
-    budgeted or journaled one (see :mod:`repro.faults`) -- in which case
+    budgeted or journaled one (see :mod:`repro.faults`), or a cold one
+    (``incremental=False``) -- in which case
     ``max_configs``/``max_depth``/``strict`` are taken from the oracle.
+    The exploration engine follows the system's type: ``System`` runs
+    on the compiled kernel, ``InterpretedSystem`` on the interpreter.
     """
     protocol = system.protocol
     n = protocol.n
@@ -71,9 +71,6 @@ def space_lower_bound(
             max_depth=max_depth,
             strict=strict,
             cache_dir=cache_dir,
-            por=por,
-            incremental=incremental,
-            kernel=kernel,
         )
     with get_tracer().span(
         "theorem1", protocol=protocol.name, n=n
@@ -106,51 +103,6 @@ def space_lower_bound(
             zeta_len=len(certificate.zeta),
         )
     return certificate
-
-
-def space_lower_bound_auto(
-    system: System,
-    attempts: int = 4,
-    initial_configs: int = 10_000,
-    initial_depth: int = 40,
-    cache_dir=None,
-    por: bool = False,
-    incremental: bool = True,
-    kernel: str = "interp",
-) -> SpaceBoundCertificate:
-    """Run the adversary with escalating oracle budgets.
-
-    Bounded-mode oracles can misguide the construction when their budget
-    is too small for the protocol at hand; the error is always loud
-    (:class:`AdversaryError`), so the practical driver simply retries
-    with doubled budgets.  Consensus violations are *not* retried --
-    a broken protocol stays broken at any budget.
-    """
-    configs, depth = initial_configs, initial_depth
-    last_error: Optional[AdversaryError] = None
-    for _ in range(attempts):
-        try:
-            return space_lower_bound(
-                system,
-                strict=False,
-                max_configs=configs,
-                max_depth=depth,
-                cache_dir=cache_dir,
-                por=por,
-                incremental=incremental,
-                kernel=kernel,
-            )
-        except ViolationError:
-            raise
-        except AdversaryError as exc:
-            last_error = exc
-            configs *= 2
-            depth *= 2
-    raise AdversaryError(
-        f"construction failed after {attempts} budget escalations "
-        f"(last: {last_error}); either the protocol is not a correct NST "
-        "consensus protocol or it needs still-larger budgets"
-    )
 
 
 def _two_process_bound(system: System, inputs) -> SpaceBoundCertificate:

@@ -62,9 +62,7 @@ class ValencyOracle:
         budget=None,
         cache=None,
         cache_dir=None,
-        por: bool = False,
         incremental: bool = True,
-        kernel: str = "interp",
     ):
         """``strict`` oracles answer exactly: a "cannot decide" is backed
         by an exhausted reachable graph, and budget overruns raise
@@ -83,24 +81,23 @@ class ValencyOracle:
         ``cache_dir`` enables the persistent on-disk result cache;
         disk-loaded witnesses are replay-validated before use.
 
-        ``por`` turns on the explorers' partial-order reduction
-        (commuting-diamond edge pruning; see
-        :mod:`repro.analysis.explorer`).
-
         ``incremental`` (on by default) attaches an
         :class:`~repro.core.incremental.IncrementalEngine`:
         configuration interning plus memoised step/key/decision tables
         shared by every query, and frontier reuse -- negative answers
         served from previously exhausted reachable graphs without a new
         search.  Answers and witnesses are bit-identical either way;
-        only the work to produce them changes.
+        only the work to produce them changes.  It is the one engine
+        switch: ``incremental=False`` gives the cold oracle the E18
+        benchmark and the incremental differential tests compare
+        against.
 
-        ``kernel`` selects the exploration engine: ``"compiled"`` lowers
-        the protocol to the packed-integer batch kernel
-        (:mod:`repro.kernel`) where supported, falling back to the
-        interpreter with the reason recorded in ``kernel.fallback.*``
-        metrics.  Answers, witnesses and certificates are bit-identical
-        either way.
+        The exploration engine follows the system's type
+        (:class:`~repro.analysis.explorer.Explorer`): a ``System`` runs
+        on the compiled kernel, an
+        :class:`~repro.model.system.InterpretedSystem` on the reference
+        interpreter.  Answers, witnesses and certificates are
+        bit-identical either way.
         """
         self.system = system
         self.values = tuple(values)
@@ -117,8 +114,6 @@ class ValencyOracle:
         #: construction's work happens inside oracle queries, so ticking
         #: here bounds the adversaries end to end.
         self.budget = budget
-        self.por = por
-        self.kernel = kernel
         self.incremental = incremental
         if incremental:
             from repro.core.incremental import IncrementalEngine
@@ -134,9 +129,7 @@ class ValencyOracle:
             max_depth=max_depth,
             strict=strict,
             budget=budget,
-            por=por,
             engine=self._engine,
-            kernel=kernel,
         )
         if cache is None and cache_dir is not None:
             from repro.parallel.cache import ValencyCache
@@ -155,7 +148,6 @@ class ValencyOracle:
                 max_configs=max_configs,
                 max_depth=max_depth,
                 solo_probe=solo_probe,
-                por=por,
             )
         # Memo of stable digests per query key (None = not addressable).
         self._disk_digest: Dict[Hashable, Optional[str]] = {}

@@ -143,7 +143,8 @@ class KernelError(ReproError):
     overflow), or a spilled segment fails its checksum on reload.  The
     kernel never silently degrades mid-exploration -- budget ticks have
     already been billed, so a fallback would double-bill them; instead
-    the error surfaces and the caller may retry with ``kernel="interp"``.
+    the error surfaces and the caller may retry on an
+    ``InterpretedSystem``.
     """
 
 

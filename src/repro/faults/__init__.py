@@ -40,6 +40,7 @@ from repro.faults.harness import (
     corruption_campaign,
     crash_campaign,
     find_violation,
+    run_adversary_auto,
     run_adversary_guarded,
 )
 from repro.faults.registers import (
@@ -81,6 +82,7 @@ __all__ = [
     "crash_sets",
     "find_violation",
     "lost_write_plan",
+    "run_adversary_auto",
     "run_adversary_guarded",
     "stale_read_plan",
     "truncate_tail",

@@ -11,6 +11,9 @@ of three outcomes --
 * ``budget``: a :class:`PartialProgress` report, serializable via
   :mod:`repro.core.serialize` and resumable by a later invocation.
 
+``run_adversary_auto`` retries the guarded run at escalating oracle
+budgets and ends in the same three outcomes.
+
 The campaign functions drive the fault models of this package over the
 bundled protocols: crash campaigns prove the correct protocols survive
 every explored <= (n-1)-crash plan, and corruption campaigns prove the
@@ -21,7 +24,7 @@ testing for the checker itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 from repro.errors import (
     AdversaryError,
@@ -74,10 +77,7 @@ def run_adversary_guarded(
     verify: bool = True,
     spec: str = "",
     cache_dir=None,
-    por: bool = False,
-    incremental: bool = True,
     checkpoint=None,
-    kernel: str = "interp",
 ) -> AdversaryOutcome:
     """Run the Theorem 1 adversary to one of the three outcomes.
 
@@ -87,18 +87,15 @@ def run_adversary_guarded(
     them).  ``spec`` labels the partial-progress report so the CLI can
     refuse to resume a checkpoint against a different protocol.
 
-    ``cache_dir``/``por`` configure the oracle's persistent valency
-    cache and partial-order reduction (:mod:`repro.parallel`,
-    :mod:`repro.lint.independence`); both are transparent to the
-    three-outcome contract -- cached witnesses are replay-validated and
-    POR results are bit-identical.
+    ``cache_dir`` configures the oracle's persistent valency cache
+    (:mod:`repro.parallel`); it is transparent to the three-outcome
+    contract, because cached witnesses are replay-validated.
 
-    ``kernel`` selects the oracle's exploration engine
-    (``"compiled"`` = the packed-integer batch kernel of
-    :mod:`repro.kernel`, with automatic recorded fallback to the
-    interpreter where unsupported).  Like ``por`` it is transparent to
-    the three-outcome contract: certificates, violation witnesses and
-    partial-progress reports are bit-identical.
+    The oracle always has the incremental engine, and its exploration
+    engine follows the system's type: a ``System`` runs on the compiled
+    kernel of :mod:`repro.kernel`, an ``InterpretedSystem`` on the
+    reference interpreter.  Certificates, violation witnesses and
+    partial-progress reports are bit-identical either way.
 
     ``checkpoint`` names a journal file persisted *live*
     (:class:`repro.resilience.CheckpointJournal`): every computed oracle
@@ -106,6 +103,27 @@ def run_adversary_guarded(
     moment leaves a resumable file, not just budget exhaustion.  The
     journal holds a writer lock until the run returns or raises.
     """
+    return _run_guarded(
+        system, find_violation, budget, resume, max_configs, max_depth,
+        strict, verify, spec, cache_dir, checkpoint,
+    )
+
+
+def _run_guarded(
+    system: System,
+    hunt: Callable[[System], Optional[ViolationError]],
+    budget: Optional[Budget],
+    resume: Optional[PartialProgress],
+    max_configs: int,
+    max_depth: Optional[int],
+    strict: bool,
+    verify: bool,
+    spec: str,
+    cache_dir,
+    checkpoint,
+) -> AdversaryOutcome:
+    """:func:`run_adversary_guarded`, with ``hunt`` as the search that
+    explains a construction failure that came without a witness."""
     if resume is not None:
         entries = list(resume.queries)
         max_configs = resume.max_configs
@@ -136,9 +154,6 @@ def run_adversary_guarded(
             max_depth=max_depth,
             strict=strict,
             cache_dir=cache_dir,
-            por=por,
-            incremental=incremental,
-            kernel=kernel,
         )
     except BaseException:
         # The journal's writer lock must not outlive a failed setup, or
@@ -210,7 +225,7 @@ def run_adversary_guarded(
             # broken (hunt a concrete violation) or the oracle budgets
             # misled the construction (report partial progress for a
             # bigger-budget retry).
-            found = find_violation(system)
+            found = hunt(system)
             if found is not None:
                 outcome_event(
                     "violation",
@@ -226,6 +241,48 @@ def run_adversary_guarded(
         finally:
             oracle.close()
             journal.close()
+
+
+def run_adversary_auto(
+    system: System,
+    attempts: int = 4,
+    max_configs: int = 30_000,
+    max_depth: int = 60,
+    spec: str = "",
+    cache_dir=None,
+) -> AdversaryOutcome:
+    """Run the guarded adversary with escalating oracle budgets.
+
+    Bounded-mode oracles can misguide the construction when their budget
+    is too small for the protocol at hand; the failure is always loud,
+    so this driver retries a ``budget`` outcome with doubled
+    ``max_configs``/``max_depth``, ``attempts`` runs in all.  Consensus
+    violations are not retried -- a broken protocol stays broken at any
+    budget -- and the violation hunt that explains a construction
+    failure runs once, at the first failure.  An escalation that
+    exhausts every budget ends in the last run's ``budget`` outcome.
+    """
+    hunted: List[Optional[ViolationError]] = []
+
+    def hunt_once(target: System) -> Optional[ViolationError]:
+        if not hunted:
+            hunted.append(find_violation(target))
+        return hunted[0]
+
+    for _ in range(attempts):
+        outcome = _run_guarded(
+            system, hunt_once, budget=None, resume=None,
+            max_configs=max_configs, max_depth=max_depth, strict=False,
+            verify=True, spec=spec, cache_dir=cache_dir, checkpoint=None,
+        )
+        if outcome.status != "budget":
+            return outcome
+        max_configs, max_depth = max_configs * 2, max_depth * 2
+    outcome.partial.note = (
+        f"gave up after {attempts} oracle budgets; last: "
+        f"{outcome.partial.note}"
+    )
+    return outcome
 
 
 def find_violation(

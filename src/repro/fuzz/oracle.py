@@ -1,4 +1,4 @@
-"""The cross-engine differential oracle: five engines, one truth.
+"""The cross-engine differential oracle: four engines, one truth.
 
 Each surviving specimen runs through every engine configuration and the
 results are compared *as bytes*: exploration fingerprints (decided
@@ -11,10 +11,12 @@ with the sequential baseline, caught on a five-state automaton instead
 of inside a lemma driver.
 
 The engine matrix mirrors the proof-preservation claims the repo makes
-(THEORY.md): POR on/off, incremental cold/warm, the compiled
-packed-integer kernel (:mod:`repro.kernel`), and budget-guarded runs
-must all be bit-identical to the sequential interpreter.  ``sabotage`` exists
-so the harness can prove *itself* non-vacuous: a deterministic
+(THEORY.md): incremental cold/warm, the compiled packed-integer kernel
+(:mod:`repro.kernel`), and budget-guarded runs must all be
+bit-identical to the sequential interpreter.  Each row names the system
+class its leg builds: :class:`~repro.model.system.InterpretedSystem`
+for the interpreter legs, ``System`` for the kernel leg.  ``sabotage``
+exists so the harness can prove *itself* non-vacuous: a deterministic
 perturbation of one engine's fingerprint must be caught, minimized and
 persisted (the seeded known-divergence fixture in the tests and the
 ``--inject`` CLI flag).
@@ -25,13 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Type
 
 from repro.absint import ValueSet, analyze_table
 from repro.analysis.checker import check_consensus_exhaustive
 from repro.analysis.explorer import Explorer
 from repro.core.incremental import IncrementalEngine
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.model.table import TableProtocol
 from repro.obs.runtime import get_metrics
 
@@ -48,30 +50,33 @@ ABSINT_UNSOUND = "absint-unsound"
 class EngineSpec:
     """One engine configuration of the differential matrix.
 
-    ``warm`` runs every exploration twice against one shared
-    incremental engine and fingerprints the *second* pass -- the
-    memo-served answers must equal the cold ones.  ``sabotage`` applies
+    ``system_class`` is the system the leg builds, and so its
+    exploration engine: ``System`` runs on the compiled kernel,
+    :class:`InterpretedSystem` on the interpreter.  ``warm`` runs every
+    exploration twice against one shared incremental engine and
+    fingerprints the *second* pass -- the memo-served answers must
+    equal the cold ones.  ``sabotage`` applies
     a deterministic corruption to the fingerprint ("drop-witness-step"
     or "forget-value") and exists only so tests and campaigns can prove
     the oracle catches a lying engine.
     """
 
     name: str
-    por: bool = False
+    system_class: Type[System] = System
     incremental: bool = False
     warm: bool = False
     sabotage: Optional[str] = None
-    kernel: str = "interp"
 
 
 #: The default matrix: the sequential baseline plus one row per
 #: proof-preservation claim.
 DEFAULT_ENGINES: Tuple[EngineSpec, ...] = (
-    EngineSpec("sequential"),
-    EngineSpec("por", por=True),
-    EngineSpec("incremental", incremental=True),
-    EngineSpec("incremental-warm", incremental=True, warm=True),
-    EngineSpec("compiled", kernel="compiled"),
+    EngineSpec("sequential", InterpretedSystem),
+    EngineSpec("incremental", InterpretedSystem, incremental=True),
+    EngineSpec(
+        "incremental-warm", InterpretedSystem, incremental=True, warm=True
+    ),
+    EngineSpec("compiled"),
 )
 
 
@@ -112,11 +117,13 @@ def input_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
     return ((0,) * n, (1,) * n, mixed)
 
 
-def fresh_system(protocol: TableProtocol) -> System:
+def fresh_system(
+    protocol: TableProtocol, system_class: Type[System] = System
+) -> System:
     """Rebuild the protocol from its ctor recipe -- a genuinely fresh
     system, as a later run would see it."""
     args, kwargs = protocol._ctor_args
-    return System(type(protocol)(*args, **kwargs))
+    return system_class(type(protocol)(*args, **kwargs))
 
 
 def _encode_schedule(schedule) -> List[int]:
@@ -160,7 +167,7 @@ def engine_fingerprint(
     an engine handing out schedules only it can replay is a divergence,
     not a fingerprint variant.
     """
-    system = fresh_system(protocol)
+    system = fresh_system(protocol, spec.system_class)
     n = system.protocol.n
     pids = frozenset(range(n))
     engine = IncrementalEngine(system) if spec.incremental else None
@@ -169,9 +176,7 @@ def engine_fingerprint(
         max_configs=max_configs,
         max_depth=max_depth,
         strict=False,
-        por=spec.por,
         engine=engine,
-        kernel=spec.kernel,
     )
     replay = fresh_system(protocol)
     explorations: List[Dict[str, Any]] = []
@@ -288,7 +293,7 @@ def guarded_outcome(
     max_depth: Optional[int] = 40,
     budget_steps: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Run the guarded Theorem 1 adversary under one engine config.
+    """Run the guarded Theorem 1 adversary on the spec's system class.
 
     Returns the outcome status, its CLI exit code, and the serialized
     payload (certificate JSON / witness schedule / partial-progress
@@ -303,13 +308,10 @@ def guarded_outcome(
         Budget(max_steps=budget_steps) if budget_steps is not None else None
     )
     outcome = run_adversary_guarded(
-        fresh_system(protocol),
+        fresh_system(protocol, spec.system_class),
         budget=budget,
         max_configs=max_configs,
         max_depth=max_depth,
-        por=spec.por,
-        incremental=spec.incremental,
-        kernel=spec.kernel,
     )
     payload: Any
     if outcome.status == "certificate":
@@ -342,10 +344,12 @@ def differential(
     """Run the full differential matrix over one specimen.
 
     The first engine is the baseline (conventionally sequential).  With
-    ``guarded=True`` the adversary-outcome leg runs too: every engine's
-    ``run_adversary_guarded`` status, exit code and serialized payload
-    must match the baseline's (this is the expensive leg; campaigns
-    enable it, the mutator property tests do not).
+    ``guarded=True`` the adversary-outcome leg runs too, once per system
+    class (every guarded oracle has the incremental engine, so the
+    class is all that varies): its ``run_adversary_guarded`` status,
+    exit code and serialized payload must match the baseline's (this is
+    the expensive leg; campaigns enable it, the mutator property tests
+    do not).
     """
     report = DifferentialReport(
         protocol_name=protocol.name,
@@ -411,9 +415,11 @@ def differential(
             "exit_code": base_outcome["exit_code"],
         }
         report.visited += base_outcome["spent"]
+        guarded_classes = {baseline_spec.system_class}
         for spec in engines[1:]:
-            if spec.warm or spec.sabotage:
-                continue  # warm legs re-use the exploration engine only
+            if spec.sabotage or spec.system_class in guarded_classes:
+                continue
+            guarded_classes.add(spec.system_class)
             outcome = guarded_outcome(
                 protocol, spec, budget_steps=guarded_budget,
             )

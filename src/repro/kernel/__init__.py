@@ -20,16 +20,17 @@ kernel* over packed integers:
   novel ``(pid, state, value)`` and memoise the delta forever.
 * :mod:`repro.kernel.explore` -- a batch explorer expanding whole
   frontiers per call, bit-identical to ``Explorer.explore`` (same
-  budget ticks, same POR prunes, same early exits, same metrics).
+  budget ticks, same early exits, same metrics).
 * :mod:`repro.kernel.store` -- the out-of-core visited store: rows
   spill to checksummed mmap'd segments past a RAM threshold
   (``REPRO_KERNEL_SPILL_THRESHOLD``), with quarantine-on-corruption.
 
-Selection is by the ``kernel="compiled"|"interp"`` parameter threaded
-through ``Explorer``/``ValencyOracle``/``space_lower_bound``/
-``run_adversary_guarded`` and the CLI ``--kernel`` flag.  Unsupported
-systems (faulty-memory wrappers) fall back to the interpreter with the
-reason recorded in ``kernel.fallback.*`` counters and a trace event.
+Selection is by the type of the system: ``Explorer`` runs every exact
+:class:`~repro.model.system.System` on the kernel, so the library and
+the CLI share one default.  Any subclass runs on the interpreter -- the
+reference :class:`~repro.model.system.InterpretedSystem` the
+differential tests build, and faulty-memory wrappers -- with the reason
+recorded in ``kernel.fallback.*`` counters and a trace event.
 """
 
 from repro.kernel.codec import PackedCodec, row_fingerprint

@@ -4,20 +4,14 @@ A successor under the compiled kernel is ``row + delta`` -- one big-int
 addition.  The compiler builds, per ``(pid, state-id)``, a *plan*::
 
     None                                   process halted/decided
-    (PROBE, shift, table, tok, op, pid, sid)
+    (PROBE, shift, table, op, pid, sid)
         shared op or coin flip: ``cur = (row >> shift) & MASK`` reads
         the affected field (register value id, or the pid's coin
         counter); ``table[cur]`` is the precomputed delta.  A table
         miss falls back to :meth:`CompiledProgram.effect_miss`, which
         consults the object model once and memoises the delta forever.
-    (FIXED, 0, delta, tok, op, pid, sid)
+    (FIXED, 0, delta, op, pid, sid)
         marker/local op with a constant response: one fixed delta.
-
-``tok`` is a small token identifying the operation's independence
-class ``(obj, is_write)``; the POR commute test becomes two list
-indexings (``commute[via_tok][tok]``), exactly matching
-:func:`repro.lint.independence.operations_commute` because commutation
-depends only on object identity, locality and writability.
 
 ``TableProtocol`` lowers *statically*: the whole state/value universe
 is enumerated from the rule/transition/decision tables in a
@@ -74,9 +68,10 @@ def kernel_unsupported_reason(system) -> Optional[str]:
     """Why ``system`` cannot run on the compiled kernel (None if it can).
 
     The kernel applies shared-memory semantics through
-    :func:`apply_operation` directly; a ``System`` subclass (e.g. the
-    fault-injecting ``FaultyMemorySystem``) may override
-    ``_apply_shared``, so only exact ``System`` instances compile.
+    :func:`apply_operation` directly; a ``System`` subclass may override
+    ``_apply_shared`` (the fault-injecting ``FaultyMemorySystem``) or
+    ask for the interpreter by its type (the reference
+    ``InterpretedSystem``), so only exact ``System`` instances compile.
     """
     if type(system) is not System:
         return REASON_SYSTEM_SUBCLASS
@@ -136,10 +131,6 @@ class CompiledProgram:
         self.plans: List[dict] = [{} for _ in range(self.n)]
         self.decisions: List[dict] = [{} for _ in range(self.n)]
         self.deciding = False
-        # Token 0 is reserved ("no via edge", the BFS root sentinel).
-        self._token_keys: List[Optional[tuple]] = [None]
-        self._token_ids: dict = {}
-        self.commute: List[List[bool]] = [[True]]
         # Canonical handling: protocols with the default exact canonical
         # key dedup directly on rows (packing is injective w.r.t.
         # configuration equality); protocols overriding the hooks get a
@@ -164,40 +155,6 @@ class CompiledProgram:
                 self.decisions[pid][sid] = value
                 self.deciding = True
 
-    def _token_for(self, op) -> int:
-        obj = op.obj
-        key = (None, False) if obj is None else (obj, bool(op.is_write))
-        tok = self._token_ids.get(key)
-        if tok is not None:
-            return tok
-        tok = len(self._token_keys)
-        if tok > 0xFFFF:
-            raise KernelError("operation token space overflowed 16 bits")
-        self._token_ids[key] = tok
-        self._token_keys.append(key)
-        # Extend the commute matrix: token 0 (root) commutes with all
-        # (the POR guard never fires on root-discovered configurations).
-        for row_tok, row in enumerate(self.commute):
-            row.append(self._commute_keys(self._token_keys[row_tok], key))
-        self.commute.append(
-            [self._commute_keys(key, other) for other in self._token_keys]
-        )
-        return tok
-
-    @staticmethod
-    def _commute_keys(a: Optional[tuple], b: Optional[tuple]) -> bool:
-        # Mirrors operations_commute: local ops commute with everything,
-        # distinct objects commute, same object commutes iff read/read.
-        if a is None or b is None:
-            return True
-        obj_a, write_a = a
-        obj_b, write_b = b
-        if obj_a is None or obj_b is None:
-            return True
-        if obj_a != obj_b:
-            return True
-        return not (write_a or write_b)
-
     # -- miss handlers (cold path) ------------------------------------
 
     def plan_miss(self, pid: int, sid: int):
@@ -208,23 +165,23 @@ class CompiledProgram:
         if op is None:
             plan = None
         elif isinstance(op, CoinFlip):
-            plan = (PROBE, codec.coin_shifts[pid], {}, self._token_for(op), op, pid, sid)
+            plan = (PROBE, codec.coin_shifts[pid], {}, op, pid, sid)
         elif isinstance(op, Marker):
             new_state = self.protocol.transition(pid, state, None)
             delta = (codec.state_id(new_state) - sid) << codec.state_shifts[pid]
-            plan = (FIXED, 0, delta, self._token_for(op), op, pid, sid)
+            plan = (FIXED, 0, delta, op, pid, sid)
         else:
             obj = op.obj
             if obj is None or not 0 <= obj < len(self.kinds):
                 raise ModelError(f"operation {op!r} names bad object {obj!r}")
-            plan = (PROBE, codec.mem_shifts[obj], {}, self._token_for(op), op, pid, sid)
+            plan = (PROBE, codec.mem_shifts[obj], {}, op, pid, sid)
         self.plans[pid][sid] = plan
         return plan
 
     def effect_miss(self, plan, cur: int) -> int:
         """Compute (and memoise) the delta for ``plan`` at field ``cur``."""
         codec = self.codec
-        _, shift, table, _, op, pid, sid = plan
+        _, shift, table, op, pid, sid = plan
         state = codec.states[sid]
         if isinstance(op, CoinFlip):
             # ``cur`` is the pid's coin counter; the tape is pure.
@@ -274,5 +231,5 @@ class CompiledProgram:
                 plan = self.plan_miss(pid, sid)
                 if plan is None or plan[0] != PROBE:
                     continue
-                for cur in sorted(possible_ids[plan[4].obj]):
+                for cur in sorted(possible_ids[plan[3].obj]):
                     self.effect_miss(plan, cur)

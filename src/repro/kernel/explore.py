@@ -1,11 +1,10 @@
 """The compiled batch explorer: BFS over packed rows.
 
 Bit-identical to :meth:`repro.analysis.explorer.Explorer.explore` by
-construction -- same budget tick sequence, same POR skip condition,
-same dedup/limit/early-exit points, same metric totals, same
-certificates and witness schedules.  The correspondence argument lives
-in docs/THEORY.md; the enforcement lives in
-``tests/test_kernel_differential.py``.
+construction -- same budget tick sequence, same dedup/limit/early-exit
+points, same metric totals, same certificates and witness schedules.
+The correspondence argument lives in docs/THEORY.md; the enforcement
+lives in ``tests/test_kernel_differential.py``.
 
 Layout of one exploration:
 
@@ -14,10 +13,10 @@ Layout of one exploration:
   incremental engine's memos) assigns a dense global id (``gcid``) to
   every distinct canonical configuration and stores its representative
   packed row in a spillable :class:`~repro.kernel.store.RowStore`.
-* The *frontier log* is a second ``RowStore`` holding one 128-bit
+* The *frontier log* is a second ``RowStore`` holding one 112-bit
   record per BFS discovery::
 
-      gcid:32 | parent_lid+1:32 | depth:32 | via_pid:16 | via_tok:16
+      gcid:32 | parent_lid+1:32 | depth:32 | via_pid:16
 
   Because the interpreted BFS appends successors to its queue at the
   moment of first discovery, the log *is* the queue: expanding record
@@ -49,9 +48,9 @@ from repro.obs.runtime import get_metrics, get_tracer
 
 _MISS = object()
 
-#: Frontier log record width: gcid, parent+1, depth (32 bits each),
-#: via pid and via token (16 bits each).
-_LOG_WIDTH = 16
+#: Frontier log record width: gcid, parent+1, depth (32 bits each)
+#: and via pid (16 bits).
+_LOG_WIDTH = 14
 
 
 class _Space:
@@ -128,8 +127,6 @@ def _hot_expand(
     decisions,
     found,
     stop_when,
-    commute,
-    por,
     sorted_pids,
     all_pids,
     state_shifts,
@@ -145,7 +142,7 @@ def _hot_expand(
 ):
     """Expand the whole frontier; returns "done"/"stopped"/"limit".
 
-    ``ctr`` accumulates [edges, dedup, pruned, truncated, pops] so the
+    ``ctr`` accumulates [edges, dedup, truncated, pops] so the
     caller can flush metrics exactly once (including on a raise, where
     the interpreted loop's incremental counter updates are also already
     committed).  Order of operations per popped record and per pid
@@ -167,13 +164,10 @@ def _hot_expand(
             budget.tick()
         depth = (entry >> 64) & mask
         if max_depth is not None and depth >= max_depth:
-            ctr[3] = 1
+            ctr[2] = 1
             continue
-        ctr[4] += 1
+        ctr[3] += 1
         row = row_get(entry & mask)
-        via_pid = (entry >> 96) & 0xFFFF
-        via_tok = (entry >> 112) & 0xFFFF
-        commute_row = commute[via_tok]
         nd = depth + 1
         packed_depth = nd << 64
         branch = 0
@@ -184,9 +178,6 @@ def _hot_expand(
             if plan is _MISS:
                 plan = plan_miss(pid, sid)
             if plan is None:
-                continue
-            if por and via_tok and pid < via_pid and commute_row[plan[3]]:
-                ctr[2] += 1
                 continue
             branch += 1
             ctr[0] += 1
@@ -209,9 +200,7 @@ def _hot_expand(
                 continue
             lid = total
             parents[scid] = lid
-            log_append(
-                scid | (qi << 32) | packed_depth | (pid << 96) | (plan[3] << 112)
-            )
+            log_append(scid | (qi << 32) | packed_depth | (pid << 96))
             total += 1
             if len(parents) > max_configs:
                 if strict:
@@ -228,7 +217,7 @@ def _hot_expand(
                         f"(pids={pids_list})",
                         visited=len(parents),
                     )
-                ctr[3] = 1
+                ctr[2] = 1
                 return "limit"
             # Read ``deciding`` live: a dynamically lowered protocol may
             # intern its first deciding state mid-exploration.
@@ -297,7 +286,6 @@ class KernelExplorer:
         max_depth: Optional[int],
         strict: bool,
         budget=None,
-        por: bool = False,
         engine=None,
     ) -> ExplorationResult:
         program = self.program
@@ -312,11 +300,10 @@ class KernelExplorer:
         metrics = get_metrics()
         edges_c = metrics.counter("explorer.edges")
         dedup_c = metrics.counter("explorer.dedup_hits")
-        pruned_c = metrics.counter("explorer.por_pruned")
         branching_h = metrics.histogram("explorer.branching", BRANCHING_EDGES)
         level_sizes = {0: 1}
         branch_counts: dict = {}
-        ctr = [0, 0, 0, 0, 0]  # edges, dedup, pruned, truncated, pops
+        ctr = [0, 0, 0, 0]  # edges, dedup, truncated, pops
 
         space = self.space(pid_set)
         store = space.store
@@ -368,7 +355,7 @@ class KernelExplorer:
             metrics.gauge("explorer.frontier_peak").set_max(
                 max(level_sizes.values())
             )
-            metrics.histogram("kernel.batch").observe(ctr[4])
+            metrics.histogram("kernel.batch").observe(ctr[3])
             get_tracer().event(
                 "explore.done",
                 engine="compiled",
@@ -394,7 +381,7 @@ class KernelExplorer:
             return result
 
         try:
-            log.append(gcid0)  # root record: parent1=0, depth=0, tok=0
+            log.append(gcid0)  # root record: parent1=0, depth=0
             if stop_when is not None and stop_when <= found.keys():
                 return finish("stopped")
             outcome = _hot_expand(
@@ -411,8 +398,6 @@ class KernelExplorer:
                 decisions,
                 found,
                 stop_when,
-                program.commute,
-                por,
                 sorted_pids,
                 all_pids,
                 state_shifts,
@@ -426,7 +411,7 @@ class KernelExplorer:
                 strict,
                 ctr,
             )
-            result.truncated = bool(ctr[3])
+            result.truncated = bool(ctr[2])
             return finish(outcome)
         finally:
             # Flush accumulated counters exactly once -- also on a raise
@@ -435,7 +420,6 @@ class KernelExplorer:
             # already committed.
             edges_c.inc(ctr[0])
             dedup_c.inc(ctr[1])
-            pruned_c.inc(ctr[2])
             for branch in branch_counts:
                 branching_h.observe_many(branch, branch_counts[branch])
             log.close()

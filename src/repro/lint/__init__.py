@@ -1,6 +1,6 @@
 """Static protocol analysis and repository linting (``repro lint``).
 
-Three layers, all reporting typed :class:`Diagnostic` values:
+Two layers, both reporting typed :class:`Diagnostic` values:
 
 1. **Protocol static analysis** (:mod:`repro.lint.cfg`,
    :mod:`repro.lint.footprint`, :mod:`repro.lint.protocol`): a
@@ -8,11 +8,7 @@ Three layers, all reporting typed :class:`Diagnostic` values:
    register footprints, and the Theorem 1 contrapositive -- a writable
    footprint below n−1 registers means "cannot solve n-process
    consensus", reported before any adversary run.
-2. **Independence analysis** (:mod:`repro.lint.independence`): the
-   structural commutation predicate behind the explorers' opt-in
-   partial-order reduction (``por=True`` / ``--por``), whose results are
-   provably bit-identical to unpruned runs.
-3. **Repository self-lint** (:mod:`repro.lint.selfcheck`): AST checks of
+2. **Repository self-lint** (:mod:`repro.lint.selfcheck`): AST checks of
    the codebase invariants (deterministic proof paths, picklable
    errors, pinned trace schema), exposed as ``repro lint --self``.
 """
@@ -34,7 +30,6 @@ from repro.lint.footprint import (
     protocol_footprint,
     table_footprint,
 )
-from repro.lint.independence import operations_commute
 from repro.lint.protocol import crosscheck_certificate, lint_protocol
 from repro.lint.selfcheck import (
     check_checkpoint_fsync,
@@ -63,7 +58,6 @@ __all__ = [
     "crosscheck_certificate",
     "lint_protocol",
     "lint_repository",
-    "operations_commute",
     "program_cfg",
     "program_footprint",
     "protocol_footprint",

@@ -57,9 +57,8 @@ class Footprint:
     ``reads``/``writes`` are register index sets; ``top`` flags that at
     least one operand was environment-dependent and the corresponding
     set was widened to all ``universe`` registers.  ``exact`` footprints
-    (no widening anywhere) are what the POR independence classifier and
-    the cross-check can lean on hardest, but every consumer here only
-    needs the over-approximation direction.
+    (no widening anywhere) are what the cross-check can lean on hardest,
+    but every consumer here only needs the over-approximation direction.
     """
 
     reads: FrozenSet[int]

@@ -56,7 +56,7 @@ from repro.model.schedule import (
     round_robin,
     solo,
 )
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 
 __all__ = [
     "CoinFlip",
@@ -65,6 +65,7 @@ __all__ = [
     "DecidedState",
     "Env",
     "FetchAndAdd",
+    "InterpretedSystem",
     "Marker",
     "ObjectKind",
     "ObjectSpec",

@@ -218,3 +218,18 @@ class System:
         if op is not None and op.is_write:
             return op.obj
         return None
+
+
+class InterpretedSystem(System):
+    """A ``System`` whose explorations run on the interpreter.
+
+    The reference semantics the compiled kernel is checked against.  It
+    overrides nothing, so every step is exactly ``System``'s; but the
+    kernel compiles only exact ``System`` instances
+    (:func:`repro.kernel.kernel_unsupported_reason`), so an
+    :class:`~repro.analysis.explorer.Explorer` over this system walks
+    ``Configuration`` objects.  The choice of engine travels with the
+    system object: differential tests, the E18/E21 benchmarks and the
+    fuzz matrix's interpreter legs build this class, everything else
+    builds ``System`` and gets the kernel.
+    """

@@ -36,9 +36,9 @@ from repro.model.system import BitTape, System, zero_tape
 
 #: Bump when the digest encoding or cached-entry semantics change; part
 #: of every fingerprint, so old cache trees are invalidated wholesale.
-#: v2: the oracle fingerprint gained ``solo_probe`` and ``por`` -- v1
-#: entries could be resurrected under oracle settings that would have
-#: produced different witnesses or bounded-mode answers.
+#: v2: the oracle fingerprint gained ``solo_probe`` -- v1 entries could
+#: be resurrected under oracle settings that would have produced
+#: different witnesses or bounded-mode answers.
 CACHE_SEMANTICS_VERSION = 2
 
 
@@ -172,21 +172,20 @@ def oracle_fingerprint(
     max_configs: int,
     max_depth,
     solo_probe: bool = True,
-    por: bool = False,
 ) -> str:
     """Content address for one oracle's answers against one system.
 
     Bounded-mode (non-strict) answers depend on the exploration budgets,
     so those are part of the address: changing ``max_configs`` or
     ``max_depth`` must miss rather than resurrect answers computed under
-    different budgets.  ``solo_probe`` and ``por`` are part of the
-    address for the same reason: the solo-probe fast path stores
-    solo-run witness schedules where the plain BFS stores
-    lexicographically-least shortest ones, and sharing entries across
-    any setting that can influence what gets persisted would let one
-    configuration's answers resurface under another.  (The incremental
-    engine is deliberately *not* addressed: its answers and witnesses
-    are bit-identical to cold runs.)
+    different budgets.  ``solo_probe`` is part of the address for the
+    same reason: the solo-probe fast path stores solo-run witness
+    schedules where the plain BFS stores lexicographically-least
+    shortest ones, and sharing entries across a setting that can
+    influence what gets persisted would let one configuration's answers
+    resurface under another.  (The incremental engine and the
+    exploration engine are deliberately *not* addressed: their answers
+    and witnesses are bit-identical to the cold interpreter's.)
     """
     return stable_digest(
         (
@@ -197,6 +196,5 @@ def oracle_fingerprint(
             int(max_configs),
             None if max_depth is None else int(max_depth),
             bool(solo_probe),
-            bool(por),
         )
     )

@@ -382,11 +382,11 @@ class TestLintIntegration:
         assert report.by_code("certificate-absint-mismatch")
 
     def test_crosscheck_certificate_clean_on_real_family(self):
-        from repro.core.theorem import space_lower_bound_auto
+        from repro.faults import run_adversary_auto
         from repro.model.system import System
         from repro.protocols.consensus import CommitAdoptRounds
 
         protocol = CommitAdoptRounds(2)
-        certificate = space_lower_bound_auto(System(protocol))
+        certificate = run_adversary_auto(System(protocol)).certificate
         report = crosscheck_certificate(protocol, certificate)
         assert len(report) == 0, report.to_json()

@@ -8,6 +8,12 @@ applies.  This test replays every spec in-process and demands the same
 bytes, so a refactor or a deletion that changes any certificate or
 witness fails tier-1 instead of surfacing only in the benchmark.
 
+Every spec runs twice: on the CLI's ``System`` (the compiled kernel)
+and with ``repro.cli.System`` swapped for the reference
+:class:`~repro.model.system.InterpretedSystem`.  Both must reproduce the
+same digest, and the recorded kernel counters prove neither leg quietly
+ran the other engine.
+
 The file is read, never written; ``python3 benchmarks/e2e/run.py
 --write-golden`` re-derives it.  ``rounds:7``, ``rounds:8`` and
 ``racing:7`` are left to the benchmark because each takes seconds.
@@ -23,7 +29,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import main
+from repro.model.system import InterpretedSystem, System
+from repro.obs import MetricsRegistry, observe
 
 GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "golden.json"
 
@@ -32,15 +41,31 @@ SLOW = frozenset({"rounds:7", "rounds:8", "racing:7"})
 
 EXPECTED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
+FAST = sorted(spec for spec in EXPECTED if spec not in SLOW)
+
 
 @pytest.mark.parametrize(
-    "spec", sorted(spec for spec in EXPECTED if spec not in SLOW)
+    "spec, system_class",
+    [pytest.param(spec, System, id=spec) for spec in FAST]
+    + [
+        pytest.param(spec, InterpretedSystem, id=f"interp-{spec}")
+        for spec in FAST
+    ],
 )
-def test_adversary_output_matches_golden_digest(spec, tmp_path):
+def test_adversary_output_matches_golden_digest(
+    spec, system_class, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(repro.cli, "System", system_class)
     out = tmp_path / "cert.json"
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    registry = MetricsRegistry()
+    with contextlib.redirect_stdout(stdout), observe(metrics=registry):
         code = main(["adversary", spec, "--out", str(out)])
+    counters = registry.snapshot()["counters"]
+    if system_class is InterpretedSystem:
+        assert counters.get("kernel.compiles", 0) == 0
+    else:
+        assert counters.get("kernel.fallbacks", 0) == 0
     want = EXPECTED[spec]
     assert code == want["exit"], stdout.getvalue()
     if code == 0:

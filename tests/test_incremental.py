@@ -15,7 +15,7 @@ from repro.core.incremental import IncrementalEngine
 from repro.core.valency import ValencyOracle
 from repro.errors import AdversaryError
 from repro.model.configuration import Configuration, ConfigurationInterner
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds, TasConsensus
 
 
@@ -177,7 +177,10 @@ class TestFrontierReuse:
         assert engine.indexed_decided(pids, "c") == frozenset({1})
 
     def test_oracle_seeds_negatives_from_exhausted_graphs(self):
-        system = System(TasConsensus(2))
+        # The interpreter indexes every exhausted graph; the kernel only
+        # those of protocols with overridden canonical keys (next test),
+        # so exact-keyed TasConsensus runs on InterpretedSystem here.
+        system = InterpretedSystem(TasConsensus(2))
         oracle = ValencyOracle(system, solo_probe=False)
         root = system.initial_configuration([0, 1])
         p0 = frozenset({0})
@@ -187,6 +190,20 @@ class TestFrontierReuse:
         assert oracle._engine.graphs_registered >= 1
         # A successor inside that graph: the same negative is served by
         # the frontier-reuse index, no new search.
+        inside, _ = system.step(root, 0)
+        explorations = oracle.stats["explorations"]
+        assert not oracle.can_decide(inside, p0, 1)
+        assert oracle.stats["incremental.seeded"] >= 1
+        assert oracle.stats["explorations"] == explorations
+        oracle.close()
+
+    def test_kernel_seeds_negatives_for_canonical_key_protocols(self):
+        system = System(CommitAdoptRounds(2))
+        oracle = ValencyOracle(system, solo_probe=False)
+        root = system.initial_configuration([0, 1])
+        p0 = frozenset({0})
+        assert not oracle.can_decide(root, p0, 1)
+        assert oracle._engine.graphs_registered >= 1
         inside, _ = system.step(root, 0)
         explorations = oracle.stats["explorations"]
         assert not oracle.can_decide(inside, p0, 1)

@@ -1,15 +1,21 @@
-"""CLI surface of the compiled kernel: --kernel flags and `repro stats`.
+"""CLI surface of the compiled kernel: one engine default and `repro stats`.
 
-The flag contract: ``--kernel compiled`` (the default) and ``--kernel
-interp`` print byte-identical reports and exit codes on every command
-that explores; ``repro stats`` renders the kernel table from a traced
-run and guards every derived row with "n/a" on journals that never
-compiled anything.
+The engine contract: there is no engine flag.  Every command explores
+on the compiled kernel, the library entry points default to the same
+engine, and the reference interpreter is reached only by building an
+:class:`~repro.model.system.InterpretedSystem` -- swapping it in for
+``repro.cli.System`` prints byte-identical reports and exit codes.
+``repro stats`` renders the kernel table from a traced run and guards
+every derived row with "n/a" on journals that never compiled anything.
 """
 
 import json
 
+import pytest
+
+import repro.cli
 from repro.cli import main
+from repro.model.system import InterpretedSystem
 from repro.obs import parse_journal
 
 
@@ -18,25 +24,20 @@ def run_cli(argv, capsys):
     return rc, capsys.readouterr().out
 
 
-class TestAdversaryKernelFlag:
-    def test_compiled_and_interp_reports_are_byte_identical(self, capsys):
-        rc_c, out_c = run_cli(
-            ["adversary", "rounds:3", "--kernel", "compiled"], capsys
-        )
-        rc_i, out_i = run_cli(
-            ["adversary", "rounds:3", "--kernel", "interp"], capsys
-        )
+class TestAdversaryEngineBySystemType:
+    def test_compiled_and_interp_reports_are_byte_identical(
+        self, capsys, monkeypatch
+    ):
+        rc_c, out_c = run_cli(["adversary", "rounds:3"], capsys)
+        monkeypatch.setattr(repro.cli, "System", InterpretedSystem)
+        rc_i, out_i = run_cli(["adversary", "rounds:3"], capsys)
         assert (rc_c, out_c) == (rc_i, out_i)
         assert rc_c == 0
 
     def test_compiled_run_traces_compilation(self, tmp_path, capsys):
         journal = tmp_path / "compiled.jsonl"
         rc, _ = run_cli(
-            [
-                "adversary", "rounds:3", "--kernel", "compiled",
-                "--trace-out", str(journal),
-            ],
-            capsys,
+            ["adversary", "rounds:3", "--trace-out", str(journal)], capsys
         )
         assert rc == 0
         records = parse_journal(journal)
@@ -49,29 +50,70 @@ class TestAdversaryKernelFlag:
         assert counters.get("kernel.compiles", 0) >= 1
         assert counters.get("kernel.fallbacks", 0) == 0
 
-    def test_interp_run_never_compiles(self, tmp_path, capsys):
+    def test_interp_run_never_compiles(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(repro.cli, "System", InterpretedSystem)
         journal = tmp_path / "interp.jsonl"
         rc, _ = run_cli(
-            [
-                "adversary", "rounds:3", "--kernel", "interp",
-                "--trace-out", str(journal),
-            ],
-            capsys,
+            ["adversary", "rounds:3", "--trace-out", str(journal)], capsys
         )
         assert rc == 0
         counters = parse_journal(journal)[-1]["data"]["counters"]
         assert counters.get("kernel.compiles", 0) == 0
+        assert counters.get("kernel.fallback.system-subclass", 0) >= 1
+
+
+class TestOneDefault:
+    """The library and the CLI run the same engine by default."""
+
+    def test_library_default_compiles(self):
+        from repro.core.theorem import space_lower_bound
+        from repro.model.system import System
+        from repro.obs import MetricsRegistry, observe
+        from repro.protocols.consensus import CommitAdoptRounds
+
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            space_lower_bound(System(CommitAdoptRounds(3)))
+        counters = registry.snapshot()["counters"]
+        assert counters.get("kernel.compiles", 0) >= 1
+        assert counters.get("kernel.fallbacks", 0) == 0
+
+    def test_chaos_default_compiles(self, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        rc, _ = run_cli(
+            [
+                "chaos", "rounds:3", "--max-configs", "20000",
+                "--max-depth", "12", "--metrics-out", str(metrics),
+            ],
+            capsys,
+        )
+        assert rc == 0
+        counters = json.loads(metrics.read_text("utf-8"))["counters"]
+        assert counters.get("kernel.compiles", 0) >= 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversary", "rounds:3", "--por"],
+            ["adversary", "rounds:3", "--kernel", "interp"],
+            ["adversary", "rounds:3", "--no-incremental"],
+            ["audit", "rounds:2", "--kernel", "interp"],
+            ["fuzz", "run", "--kernel", "interp"],
+            ["fuzz", "zoo", "replay", "--kernel", "interp"],
+        ],
+    )
+    def test_engine_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStatsKernelTable:
     def test_kernel_table_from_compiled_run(self, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"
         rc, _ = run_cli(
-            [
-                "adversary", "rounds:3", "--kernel", "compiled",
-                "--trace-out", str(journal),
-            ],
-            capsys,
+            ["adversary", "rounds:3", "--trace-out", str(journal)], capsys,
         )
         assert rc == 0
         rc, out = run_cli(["stats", str(journal)], capsys)
@@ -140,29 +182,3 @@ class TestStatsKernelTable:
         )
         assert "compile-error" in reasons
         assert "system-subclass" in reasons
-
-
-class TestFuzzKernelFlag:
-    def test_interp_drops_the_compiled_leg(self):
-        from repro.cli import _fuzz_engines
-
-        compiled = _fuzz_engines("compiled")
-        interp = _fuzz_engines("interp")
-        assert any(spec.kernel == "compiled" for spec in compiled)
-        assert all(spec.kernel == "interp" for spec in interp)
-        assert len(interp) == len(compiled) - 1
-        # The interpreted legs themselves are untouched by the flag.
-        assert [s.name for s in interp] == [
-            s.name for s in compiled if s.kernel == "interp"
-        ]
-
-    def test_fuzz_run_accepts_kernel_flag(self, tmp_path, capsys):
-        rc, out = run_cli(
-            [
-                "fuzz", "run", "--count", "1", "--seed", "7",
-                "--kernel", "interp",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        assert "fuzz campaign seed=7" in out

@@ -6,9 +6,10 @@ compiled packed-integer kernel (:mod:`repro.kernel`) returns *exactly*
 what the interpreted explorer returns: identical reachable-set
 fingerprints (decided values, witness schedules, visited counts,
 completeness flags), identical certificates, identical guarded exit
-codes -- across POR on and off, with and without the incremental
-engine, and with the out-of-core spill forced down to a
-one-configuration threshold.  Any divergence is a soundness bug in the
+codes -- with and without the incremental engine, and with the
+out-of-core spill forced down to a one-configuration threshold.  The
+interpreter legs run on :class:`InterpretedSystem`, the kernel legs on
+``System``: the engine follows the system's type.  Any divergence is a soundness bug in the
 lowering, found here on a five-state automaton instead of inside a
 lemma driver.
 """
@@ -24,7 +25,7 @@ from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
 from repro.errors import BudgetExhausted, ExplorationLimitError
 from repro.faults.budget import Budget
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds
 
 from tests.test_parallel_differential import (
@@ -48,12 +49,11 @@ def result_fingerprint(result):
     )
 
 
-def explore_with(protocol, kernel, *, inputs, por=False, engine=None,
+def explore_with(protocol, system_class, *, inputs, engine=None,
                  stop_when=None, max_configs=50_000):
-    system = fresh_system(protocol)
+    system = fresh_system(protocol, system_class)
     explorer = Explorer(
-        system, max_configs=max_configs, strict=False, por=por,
-        kernel=kernel, engine=engine,
+        system, max_configs=max_configs, strict=False, engine=engine
     )
     root = system.initial_configuration(inputs)
     result = explorer.explore(
@@ -80,16 +80,12 @@ def forced_spill(body):
                 os.environ[name] = value
 
 
-@given(
-    protocol=table_protocols(),
-    inputs_seed=st.integers(0, 7),
-    por=st.booleans(),
-)
+@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
 @DIFFERENTIAL
-def test_compiled_exploration_is_bit_identical(protocol, inputs_seed, por):
+def test_compiled_exploration_is_bit_identical(protocol, inputs_seed):
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    interp = explore_with(protocol, "interp", inputs=inputs, por=por)
-    compiled = explore_with(protocol, "compiled", inputs=inputs, por=por)
+    interp = explore_with(protocol, InterpretedSystem, inputs=inputs)
+    compiled = explore_with(protocol, System, inputs=inputs)
     assert result_fingerprint(compiled) == result_fingerprint(interp)
     assert compiled.witnesses_replay(fresh_system(protocol))
 
@@ -99,10 +95,10 @@ def test_compiled_exploration_is_bit_identical(protocol, inputs_seed, por):
 def test_compiled_stop_when_is_bit_identical(protocol, value):
     inputs = [0, 1] + [0] * (protocol.n - 2)
     target = frozenset({value})
-    interp = explore_with(protocol, "interp", inputs=inputs, stop_when=target)
-    compiled = explore_with(
-        protocol, "compiled", inputs=inputs, stop_when=target
+    interp = explore_with(
+        protocol, InterpretedSystem, inputs=inputs, stop_when=target
     )
+    compiled = explore_with(protocol, System, inputs=inputs, stop_when=target)
     assert result_fingerprint(compiled) == result_fingerprint(interp)
 
 
@@ -114,13 +110,10 @@ def test_compiled_with_incremental_engine_is_bit_identical(
     from repro.core.incremental import IncrementalEngine
 
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    interp = explore_with(protocol, "interp", inputs=inputs)
+    interp = explore_with(protocol, InterpretedSystem, inputs=inputs)
     system = fresh_system(protocol)
     engine = IncrementalEngine(system)
-    explorer = Explorer(
-        system, max_configs=50_000, strict=False,
-        kernel="compiled", engine=engine,
-    )
+    explorer = Explorer(system, max_configs=50_000, strict=False, engine=engine)
     pids = frozenset(range(protocol.n))
     root = system.initial_configuration(inputs)
     # Twice: the second pass exercises the warmed persistent space and
@@ -136,9 +129,9 @@ def test_compiled_with_incremental_engine_is_bit_identical(
 @DIFFERENTIAL
 def test_compiled_forced_spill_is_bit_identical(protocol, inputs_seed):
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    interp = explore_with(protocol, "interp", inputs=inputs)
+    interp = explore_with(protocol, InterpretedSystem, inputs=inputs)
     compiled = forced_spill(
-        lambda: explore_with(protocol, "compiled", inputs=inputs)
+        lambda: explore_with(protocol, System, inputs=inputs)
     )
     assert result_fingerprint(compiled) == result_fingerprint(interp)
     assert compiled.witnesses_replay(fresh_system(protocol))
@@ -146,11 +139,9 @@ def test_compiled_forced_spill_is_bit_identical(protocol, inputs_seed):
 
 def test_strict_limit_error_is_byte_identical():
     """Same exception type, message bytes, and visited payload."""
-    def overrun(kernel):
-        system = System(CommitAdoptRounds(3))
-        explorer = Explorer(
-            system, max_configs=10, strict=True, kernel=kernel
-        )
+    def overrun(system_class):
+        system = system_class(CommitAdoptRounds(3))
+        explorer = Explorer(system, max_configs=10, strict=True)
         root = system.initial_configuration([0, 1, 1])
         try:
             explorer.explore(root, frozenset(range(3)))
@@ -160,17 +151,16 @@ def test_strict_limit_error_is_byte_identical():
             explorer.close()
         raise AssertionError("limit did not trip")
 
-    assert overrun("compiled") == overrun("interp")
+    assert overrun(System) == overrun(InterpretedSystem)
 
 
 def test_budget_exhaustion_tick_parity():
     """The kernel bills the budget at the same pop as the interpreter."""
-    def exhaust(kernel):
-        system = System(CommitAdoptRounds(3))
+    def exhaust(system_class):
+        system = system_class(CommitAdoptRounds(3))
         budget = Budget(max_steps=7)
         explorer = Explorer(
-            system, max_configs=50_000, strict=False,
-            budget=budget, kernel=kernel,
+            system, max_configs=50_000, strict=False, budget=budget
         )
         root = system.initial_configuration([0, 1, 1])
         try:
@@ -181,28 +171,20 @@ def test_budget_exhaustion_tick_parity():
             explorer.close()
         return budget.spent
 
-    assert exhaust("compiled") == exhaust("interp")
+    assert exhaust(System) == exhaust(InterpretedSystem)
 
 
 def test_rounds_certificate_is_byte_identical():
     """The real protocol family: full adversary, serialized bytes."""
-    interp = space_lower_bound(
-        System(CommitAdoptRounds(3)), kernel="interp"
-    )
-    compiled = space_lower_bound(
-        System(CommitAdoptRounds(3)), kernel="compiled"
-    )
+    interp = space_lower_bound(InterpretedSystem(CommitAdoptRounds(3)))
+    compiled = space_lower_bound(System(CommitAdoptRounds(3)))
     assert to_json(compiled) == to_json(interp)
 
 
 def test_rounds_certificate_byte_identical_under_forced_spill():
-    interp = space_lower_bound(
-        System(CommitAdoptRounds(3)), kernel="interp"
-    )
+    interp = space_lower_bound(InterpretedSystem(CommitAdoptRounds(3)))
     compiled = forced_spill(
-        lambda: space_lower_bound(
-            System(CommitAdoptRounds(3)), kernel="compiled"
-        )
+        lambda: space_lower_bound(System(CommitAdoptRounds(3)))
     )
     assert to_json(compiled) == to_json(interp)
 
@@ -212,10 +194,10 @@ def test_guarded_outcome_exit_codes_match():
     from repro.fuzz.oracle import EngineSpec, guarded_outcome
 
     protocol = CommitAdoptRounds(3)
-    interp = guarded_outcome(protocol, EngineSpec("sequential"))
-    compiled = guarded_outcome(
-        protocol, EngineSpec("compiled", kernel="compiled")
+    interp = guarded_outcome(
+        protocol, EngineSpec("sequential", InterpretedSystem)
     )
+    compiled = guarded_outcome(protocol, EngineSpec("compiled"))
     assert compiled["status"] == interp["status"]
     assert compiled["exit_code"] == interp["exit_code"]
     assert json.dumps(compiled["payload"], sort_keys=True) == json.dumps(
@@ -237,7 +219,7 @@ def test_compiled_engine_fingerprint_matches_sequential_leg():
 
     compiled_spec = DEFAULT_ENGINES[-1]
     assert compiled_spec.name == "compiled"
-    assert compiled_spec.kernel == "compiled"
+    assert compiled_spec.system_class is System
     for seed in range(5):
         protocol = generate_protocol(
             random.Random(seed), config=GeneratorConfig(), name=f"k{seed}"
@@ -252,12 +234,10 @@ def test_metrics_parity_on_fixed_protocol():
     (kernel.* instruments excluded -- they are the kernel's own)."""
     from repro.obs import MetricsRegistry, observe
 
-    def observed(kernel):
+    def observed(system_class):
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            explore_with(
-                CommitAdoptRounds(3), kernel, inputs=[0, 1, 1], por=True
-            )
+            explore_with(CommitAdoptRounds(3), system_class, inputs=[0, 1, 1])
         snapshot = registry.snapshot()
         snapshot["counters"] = {
             name: value
@@ -271,4 +251,4 @@ def test_metrics_parity_on_fixed_protocol():
         }
         return snapshot
 
-    assert observed("compiled") == observed("interp")
+    assert observed(System) == observed(InterpretedSystem)

@@ -247,9 +247,7 @@ class TestFallbackRecording:
         assert kernel_unsupported_reason(system) == "system-subclass"
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            explorer = Explorer(
-                system, max_configs=1_000, strict=False, kernel="compiled"
-            )
+            explorer = Explorer(system, max_configs=1_000, strict=False)
             root = system.initial_configuration([0, 1])
             result = explorer.explore(root, frozenset({0, 1}))
             explorer.close()

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 
 from repro.analysis.explorer import Explorer
 from repro.core.incremental import IncrementalEngine
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.obs import MetricsRegistry, observe
 
 from tests.test_parallel_differential import table_protocols
@@ -64,17 +64,16 @@ def assert_metrics_equal(expected, got):
 @PROPERTY
 def test_compiled_kernel_metrics_equal_interpreter(protocol, inputs_seed):
     system = System(protocol)
+    interpreted = InterpretedSystem(protocol)
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
     root = system.initial_configuration(inputs)
     pids = frozenset(range(protocol.n))
 
     _, interp_snap = explore_with_metrics(
-        lambda: Explorer(system, max_configs=50_000), root, pids
+        lambda: Explorer(interpreted, max_configs=50_000), root, pids
     )
     _, compiled_snap = explore_with_metrics(
-        lambda: Explorer(system, max_configs=50_000, kernel="compiled"),
-        root,
-        pids,
+        lambda: Explorer(system, max_configs=50_000), root, pids
     )
     assert_metrics_equal(interp_snap, compiled_snap)
 
@@ -82,22 +81,21 @@ def test_compiled_kernel_metrics_equal_interpreter(protocol, inputs_seed):
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 3))
 @PROPERTY
 def test_incremental_engine_metrics_equal_cold(protocol, inputs_seed):
-    system = System(protocol)
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    root = system.initial_configuration(inputs)
     pids = frozenset(range(protocol.n))
-
-    _, cold_snap = explore_with_metrics(
-        lambda: Explorer(system, max_configs=50_000), root, pids
-    )
-    _, engine_snap = explore_with_metrics(
-        lambda: Explorer(
-            system, max_configs=50_000, engine=IncrementalEngine(system)
-        ),
-        root,
-        pids,
-    )
-    assert engine_snap == cold_snap
+    for system in (System(protocol), InterpretedSystem(protocol)):
+        root = system.initial_configuration(inputs)
+        _, cold_snap = explore_with_metrics(
+            lambda: Explorer(system, max_configs=50_000), root, pids
+        )
+        _, engine_snap = explore_with_metrics(
+            lambda: Explorer(
+                system, max_configs=50_000, engine=IncrementalEngine(system)
+            ),
+            root,
+            pids,
+        )
+        assert engine_snap == cold_snap
 
 
 @given(protocol=table_protocols())

@@ -296,68 +296,6 @@ class TestHousekeeping:
         assert files == []
 
 
-class TestPorCacheDifferential:
-    """Hypothesis differential: on arbitrary automata, a POR oracle and
-    a plain oracle sharing one cache directory agree exactly -- answers
-    and witness schedules -- because the fingerprint separates their
-    entries (the v1 address would have let them cross-contaminate)."""
-
-    def test_por_and_plain_agree_against_a_shared_cache(self):
-        import tempfile
-
-        from hypothesis import given
-
-        from tests.test_parallel_differential import (
-            DIFFERENTIAL,
-            VALUES,
-            fresh_system,
-            table_protocols,
-        )
-
-        def query_all(oracle):
-            n = oracle.system.protocol.n
-            root = oracle.system.initial_configuration(
-                [0, 1] + [0] * (n - 2)
-            )
-            subsets = [frozenset({pid}) for pid in range(n)]
-            subsets.append(frozenset(range(n)))
-            answers = {}
-            for pids in subsets:
-                for value in VALUES:
-                    decided = oracle.can_decide(root, pids, value)
-                    witness = (
-                        oracle.witness(root, pids, value) if decided else None
-                    )
-                    answers[(pids, value)] = (decided, witness)
-            return answers
-
-        @given(protocol=table_protocols())
-        @DIFFERENTIAL
-        def check(protocol):
-            with tempfile.TemporaryDirectory() as cache_dir:
-                plain = ValencyOracle(
-                    System(protocol),
-                    cache_dir=cache_dir,
-                    max_configs=50_000,
-                    por=False,
-                )
-                plain_answers = query_all(plain)
-                plain.close()
-                por = ValencyOracle(
-                    fresh_system(protocol),
-                    cache_dir=cache_dir,
-                    max_configs=50_000,
-                    por=True,
-                )
-                por_answers = query_all(por)
-                assert por_answers == plain_answers
-                # Nothing crossed the address boundary.
-                assert por.stats["disk_hits"] == 0
-                por.close()
-
-        check()
-
-
 class TestEncoding:
     def test_round_trip(self):
         body = encode_entry({0: (0, 1, 2), 1: ()}, False, {1, 0})
@@ -430,9 +368,9 @@ class TestFingerprints:
         ]:
             assert other != base
 
-    def test_oracle_fingerprint_tracks_solo_probe_and_por(self):
+    def test_oracle_fingerprint_tracks_solo_probe(self):
         # Regression: before CACHE_SEMANTICS_VERSION 2 the address
-        # omitted both settings, so a solo_probe=False oracle could
+        # omitted the setting, so a solo_probe=False oracle could
         # resurrect solo-run witnesses a solo_probe=True oracle stored.
         from repro.parallel import oracle_fingerprint
 
@@ -443,12 +381,18 @@ class TestFingerprints:
             oracle_fingerprint(system, (0, 1), solo_probe=False, **budgets)
             != base
         )
-        assert oracle_fingerprint(system, (0, 1), por=True, **budgets) != base
-        assert (
-            oracle_fingerprint(system, (0, 1), por=True, **budgets)
-            != oracle_fingerprint(
-                system, (0, 1), solo_probe=False, **budgets
-            )
+
+    def test_oracle_fingerprint_ignores_the_exploration_engine(self):
+        # Kernel and interpreter answers are bit-identical, so a
+        # System oracle and an InterpretedSystem oracle share entries.
+        from repro.model.system import InterpretedSystem
+        from repro.parallel import oracle_fingerprint
+
+        budgets = dict(strict=True, max_configs=100, max_depth=None)
+        assert oracle_fingerprint(
+            System(CasConsensus(3)), (0, 1), **budgets
+        ) == oracle_fingerprint(
+            InterpretedSystem(CasConsensus(3)), (0, 1), **budgets
         )
 
 
@@ -488,37 +432,29 @@ class TestAddressIsolation:
         assert plain_stats["disk_hits"] == 0
         assert plain_stats["explorations"] > 0
 
-    def test_por_setting_does_not_share_entries(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        _, plain_stats = self.run_oracle(cache_dir, por=False)
-        assert plain_stats["disk_stores"] > 0
-        _, por_stats = self.run_oracle(cache_dir, por=True)
-        assert por_stats["disk_hits"] == 0
-
-    def test_certificates_byte_equal_across_por_cache_settings(
+    def test_certificates_byte_equal_across_engines_sharing_a_cache(
         self, tmp_path
     ):
-        # End to end: adversary runs against one shared cache directory
-        # with POR off then on must produce byte-identical certificates
-        # -- each setting addresses its own entries, so neither run can
-        # be steered by the other's stored witnesses.
+        # The address ignores the exploration engine, so kernel and
+        # interpreter runs read each other's entries: the certificates
+        # must stay byte-identical whichever engine stored them.
         from repro.core.serialize import to_json
         from repro.core.theorem import space_lower_bound
+        from repro.model.system import InterpretedSystem
         from repro.protocols.consensus import CommitAdoptRounds
 
         cache_dir = tmp_path / "cache"
         certs = [
             to_json(
                 space_lower_bound(
-                    System(CommitAdoptRounds(3)),
+                    system_class(CommitAdoptRounds(3)),
                     strict=False,
                     max_configs=40_000,
                     max_depth=80,
                     cache_dir=cache_dir,
-                    por=por,
                 )
             )
-            for por in (False, True, False)  # third run re-reads por=False
+            for system_class in (System, InterpretedSystem, System)
         ]
         assert certs[0] == certs[1] == certs[2]
 

@@ -5,7 +5,7 @@ Hypothesis generates small arbitrary protocol automata
 not necessarily correct consensus protocols) and checks that the
 cache-backed oracle answers *exactly* the same cold and warm.  The
 strategy and helpers here are shared by the other differential suites
-(kernel, incremental, POR, obs).
+(kernel, incremental, obs).
 """
 
 import tempfile
@@ -62,11 +62,11 @@ def table_protocols(draw):
     )
 
 
-def fresh_system(protocol):
+def fresh_system(protocol, system_class=System):
     """Rebuild the protocol from its constructor recipe -- a genuinely
     fresh system, as a later run would see it."""
     args, kwargs = protocol._ctor_args
-    return System(type(protocol)(*args, **kwargs))
+    return system_class(type(protocol)(*args, **kwargs))
 
 
 @given(protocol=table_protocols())

@@ -23,7 +23,7 @@ from repro.errors import (
     ViolationError,
 )
 from repro.analysis.explorer import Explorer
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds
 
 BOUNDED = dict(max_configs=20_000, max_depth=12, strict=False)
@@ -36,11 +36,13 @@ class TestWitnessReplayRegression:
     # breaks this test before it breaks a proof.
     PINNED = {0: (0,) * 8, 1: (1,) * 8}
 
-    @pytest.mark.parametrize("kernel", ["interp", "compiled"])
-    def test_bfs_witnesses_are_pinned(self, kernel):
-        system = System(CommitAdoptRounds(3))
+    @pytest.mark.parametrize(
+        "system_class", [InterpretedSystem, System], ids=["interp", "compiled"]
+    )
+    def test_bfs_witnesses_are_pinned(self, system_class):
+        system = system_class(CommitAdoptRounds(3))
         root = system.initial_configuration([0, 1, 0])
-        explorer = Explorer(system, kernel=kernel, **BOUNDED)
+        explorer = Explorer(system, **BOUNDED)
         result = explorer.explore(root, frozenset({0, 1, 2}))
         explorer.close()
         assert result.decided == self.PINNED

@@ -28,7 +28,7 @@ from repro.faults import (
     run_adversary_guarded,
 )
 from repro.faults.chaos import truncate_tail
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds
 from repro.resilience import (
     CheckpointJournal,
@@ -218,7 +218,7 @@ from repro.model.system import System
 from repro.protocols.consensus import CommitAdoptRounds
 
 outcome = run_adversary_guarded(
-    System(CommitAdoptRounds(3)), checkpoint=sys.argv[1], kernel="compiled"
+    System(CommitAdoptRounds(3)), checkpoint=sys.argv[1]
 )
 sys.exit(0 if outcome.status == "certificate" else 1)
 """
@@ -266,9 +266,7 @@ class TestSigkillResume:
         so the kill can tear nothing the resume would read: the
         checkpoint journal replays and the certificate comes out byte
         for byte the interpreter's."""
-        reference = space_lower_bound(
-            System(CommitAdoptRounds(3)), kernel="interp"
-        )
+        reference = space_lower_bound(InterpretedSystem(CommitAdoptRounds(3)))
         path = tmp_path / "killed-spill.ckpt"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -295,7 +293,7 @@ class TestSigkillResume:
         progress = load_checkpoint(path)
         assert progress is not None
         resumed = run_adversary_guarded(
-            System(CommitAdoptRounds(3)), resume=progress, kernel="compiled"
+            System(CommitAdoptRounds(3)), resume=progress
         )
         assert resumed.status == "certificate"
         assert to_json(resumed.certificate) == to_json(reference)

@@ -5,7 +5,7 @@ under ``corpus/zoo/`` it asserts:
 
 * the file's bytes are exactly the canonical re-encoding of its own
   recipe (no drifted hand edits), and its digest matches its content;
-* the sequential, POR, incremental-cold, incremental-warm and
+* the sequential, incremental-cold, incremental-warm and
   compiled-kernel engines produce byte-identical exploration
   fingerprints -- decided values, witness schedules, visited counts,
   completeness flags -- over the fixed input sweep;
