@@ -9,16 +9,12 @@ observable difference must be wall-clock.  Measured, per workload:
 
 * paired-median adversary wall-clock, interpreted
   (:class:`~repro.model.system.InterpretedSystem`) vs compiled
-  (``System``), both on a cold oracle
-  (``ValencyOracle(incremental=False)``) so the comparison is engine vs
-  engine, interleaved rounds so drift cancels;
+  (``System``): the engine follows the system, for searches and solo
+  probes alike; interleaved rounds so drift cancels;
 * byte-equality of the serialized certificates (asserted before any
   timing is believed);
-* the honest ratio against the *incremental interpreter* (the previous
-  default fast path) -- the kernel composes with the engine, it does
-  not replace it;
-* the raw exploration ratio on one large flat BFS (the E18-style
-  >= 10x record);
+* the raw exploration ratio on one large flat BFS (the >= 10x
+  record);
 * the kernel's own counters (compiles, batch sizes, fallbacks) from an
   observed run.
 
@@ -53,7 +49,7 @@ MIN_SPEEDUP_N5 = 5.0
 #: Raw-exploration speedup recorded (and asserted loosely) at n=3.
 MIN_RAW_SPEEDUP = 10.0
 
-#: Oracle budgets per n (matches benchmarks/bench_incremental.py).
+#: Oracle budgets per n.
 BUDGETS = {
     3: (40_000, 80),
     4: (40_000, 80),
@@ -68,15 +64,11 @@ RAW_CONFIGS = 100_000
 RESULT_FILE = Path(__file__).parent.parent / "BENCH_kernel.json"
 
 
-def adversary(n: int, system_class=System, incremental: bool = False):
+def adversary(n: int, system_class=System):
     configs, depth = BUDGETS.get(n, (80_000, 100))
     system = system_class(CommitAdoptRounds(n))
     with ValencyOracle(
-        system,
-        strict=False,
-        max_configs=configs,
-        max_depth=depth,
-        incremental=incremental,
+        system, strict=False, max_configs=configs, max_depth=depth
     ) as oracle:
         return space_lower_bound(system, oracle=oracle)
 
@@ -122,9 +114,9 @@ def median(values) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def timed_adversary(n: int, system_class, incremental: bool = False) -> float:
+def timed_adversary(n: int, system_class) -> float:
     start = time.perf_counter()
-    adversary(n, system_class, incremental=incremental)
+    adversary(n, system_class)
     return time.perf_counter() - start
 
 
@@ -168,8 +160,6 @@ def measure(max_n: int = 5, repeats: int = 5):
         )
         interp_s, compiled_s = paired_medians(n, repeats)
         speedup = interp_s / compiled_s if compiled_s else float("inf")
-        incr_s = timed_adversary(n, InterpretedSystem, incremental=True)
-        vs_incr = incr_s / compiled_s if compiled_s else float("inf")
         counters = kernel_counters(n)
         batches = counters["batch.count"]
         mean_batch = counters["batch.sum"] / batches if batches else 0.0
@@ -179,7 +169,6 @@ def measure(max_n: int = 5, repeats: int = 5):
                 f"{interp_s * 1e3:.0f}",
                 f"{compiled_s * 1e3:.0f}",
                 f"{speedup:.1f}x",
-                f"{vs_incr:.1f}x",
                 f"{mean_batch:.0f}",
                 counters["kernel.fallbacks"],
                 "identical",
@@ -189,8 +178,6 @@ def measure(max_n: int = 5, repeats: int = 5):
             "interp_s": interp_s,
             "compiled_s": compiled_s,
             "speedup": speedup,
-            "interp_incremental_s": incr_s,
-            "speedup_vs_incremental": vs_incr,
             "certificates_identical": True,
             **counters,
         }
@@ -215,7 +202,7 @@ def sweep_n8(payload) -> list:
     elapsed = timed_adversary(8, System)
     payload["rounds:8"] = {"compiled_s": elapsed, "interp_s": None}
     return [
-        "rounds:8", "(skipped)", f"{elapsed * 1e3:.0f}", "-", "-", "-",
+        "rounds:8", "(skipped)", f"{elapsed * 1e3:.0f}", "-", "-",
         0, "compiled-only",
     ]
 
@@ -227,13 +214,12 @@ def main(max_n: int = 5, repeats: int = 5) -> None:
     raw = payload["raw_exploration"]
     print_table(
         f"E21: compiled exploration kernel (paired medians of {repeats} "
-        "interleaved rounds; both adversary legs on a cold oracle)",
+        "interleaved rounds)",
         [
             "workload",
             "interp (ms)",
             "compiled (ms)",
             "speedup",
-            "vs incr.",
             "mean batch",
             "fallbacks",
             "certificate",

@@ -11,11 +11,10 @@ Benchmark:   pytest benchmarks/bench_theorem1.py --benchmark-only
 The valency oracle's solo-probe fast path (positive queries answered by
 plain solo runs) is what makes n = 6 feasible: the construction is
 recursive over valency queries and nearly all of them are positive.
-The incremental valency engine (process-state step memoisation plus
-configuration interning, :mod:`repro.core.incremental`) brought n = 7
-into the default sweep.  Runs take the compiled kernel, the engine the
-CLI runs, because ``System`` selects it; the ``time`` column times that
-path.
+Runs take the compiled kernel, the engine the CLI runs, because
+``System`` selects it: BFS and solo probes both read its per-``(pid,
+state)`` tables, which keeps n = 7 in the default sweep.  The ``time``
+column times that path.
 """
 
 import sys

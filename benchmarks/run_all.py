@@ -4,8 +4,8 @@
     python benchmarks/run_all.py [--quick]
 
 ``--quick`` caps the Theorem 1 sweep at n=4 (the full sweep's n=5
-through n=7 rows take from seconds to a minute each even with the
-incremental engine); everything else runs in full.
+through n=7 rows take from seconds to a minute each even on the
+compiled kernel); everything else runs in full.
 """
 
 import sys
@@ -28,7 +28,6 @@ import bench_step_complexity
 import bench_faults
 import bench_obs
 import bench_lint
-import bench_incremental
 import bench_ablation_memo
 import bench_ablation_historyless
 import bench_ablation_symmetry
@@ -54,7 +53,6 @@ def main() -> None:
         ("E14", bench_faults.main),
         ("E16", lambda: bench_obs.main(3 if quick else 7)),
         ("E17", lambda: bench_lint.main(3 if quick else 9)),
-        ("E18", lambda: bench_incremental.main(3 if quick else 4)),
         ("ablations A/B", bench_ablation_memo.main),
         ("ablation C", bench_ablation_historyless.main),
         ("ablation D", bench_ablation_symmetry.main),

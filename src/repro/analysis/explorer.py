@@ -112,7 +112,6 @@ class Explorer:
         max_depth: Optional[int] = None,
         strict: bool = True,
         budget=None,
-        engine=None,
     ):
         """``strict`` explorers raise :class:`ExplorationLimitError` when
         the configuration budget is exceeded; non-strict explorers return
@@ -127,14 +126,6 @@ class Explorer:
         into a run that terminates with
         :class:`~repro.errors.BudgetExhausted` instead of stalling.
 
-        ``engine`` is an optional
-        :class:`~repro.core.incremental.IncrementalEngine`: the BFS then
-        routes its pure model calls (step, canonical key, decisions)
-        through the engine's interned memo tables and registers
-        exhausted graphs for frontier reuse.  Memoising pure functions
-        is invisible to the search -- results, metrics and early-exit
-        points are bit-identical with or without an engine.
-
         The exploration engine is chosen by the system: one the kernel
         compiles runs on the packed-row kernel of :mod:`repro.kernel`
         (bit-identical by the differential contract), any other on this
@@ -147,7 +138,6 @@ class Explorer:
         self.max_depth = max_depth
         self.strict = strict
         self.budget = budget
-        self.engine = engine
         self.kernel_fallback_reason: Optional[str] = None
         self._kernel_explorer = None
         self._kernel_resolved = False
@@ -215,14 +205,10 @@ class Explorer:
                 max_depth=self.max_depth,
                 strict=self.strict,
                 budget=self.budget,
-                engine=self.engine,
             )
         system = self.system
         protocol = system.protocol
         pid_set = frozenset(pids)
-        engine = self.engine
-        if engine is not None:
-            root = engine.intern(root)
         result = ExplorationResult(root=root, pids=pid_set)
 
         # Metric handles are hoisted once per exploration; under the
@@ -239,33 +225,9 @@ class Explorer:
 
         # Deduplicate on the *query* key: configurations interchangeable
         # for P-only reachability (for symmetric protocols this quotients
-        # by permutations fixing P setwise).  With an engine attached
-        # the same pure functions are served from its memo tables.
-        if engine is not None:
-            # Bind the live per-pid_set key table once: hits become one
-            # ``id()``-keyed probe.  The table object is stable (arena
-            # generation changes clear it in place), and misses fall
-            # back to ``engine.query_key`` which fills the same table.
-            keys_table = engine.keys_for(pid_set)
-
-            def key_of(config: Configuration) -> Hashable:
-                entry = keys_table.get(id(config))
-                if entry is not None:
-                    return entry[1]
-                return engine.query_key(config, pid_set)
-
-            poised_of = engine.poised
-            decided_of = engine.decided_values
-            step_of = engine.step
-        else:
-            def key_of(config: Configuration) -> Hashable:
-                return protocol.canonical_query_key(config, pid_set)
-
-            poised_of = system.poised
-            decided_of = system.decided_values
-
-            def step_of(config: Configuration, pid: int) -> Configuration:
-                return system.step(config, pid)[0]
+        # by permutations fixing P setwise).
+        def key_of(config: Configuration) -> Hashable:
+            return protocol.canonical_query_key(config, pid_set)
 
         # parent[key] = (parent_key, pid) for witness reconstruction.
         parents: Dict[Hashable, Optional[Tuple[Hashable, int]]] = {}
@@ -275,7 +237,7 @@ class Explorer:
         found: Dict[Hashable, Hashable] = {}  # value -> deciding key
 
         def record_decisions(config: Configuration, key: Hashable) -> None:
-            for value in decided_of(config):
+            for value in system.decided_values(config):
                 if value not in found:
                     found[value] = key
 
@@ -302,13 +264,6 @@ class Explorer:
                 truncated=result.truncated,
                 decided=sorted(found, key=repr),
             )
-            if engine is not None and result.complete:
-                # The whole P-only reachable graph was exhausted (no
-                # truncation, no stop_when early exit): index its node
-                # keys for frontier reuse.
-                engine.register_graph(
-                    pid_set, parents.keys(), frozenset(found)
-                )
             return result
 
         record_decisions(root, root_key)
@@ -325,11 +280,11 @@ class Explorer:
                 continue
             branch = 0
             for pid in sorted_pids:
-                if poised_of(config, pid) is None:
+                if system.poised(config, pid) is None:
                     continue
                 branch += 1
                 edges_c.inc()
-                succ = step_of(config, pid)
+                succ, _ = system.step(config, pid)
                 succ_key = key_of(succ)
                 if succ_key in parents:
                     dedup_c.inc()
@@ -359,6 +314,30 @@ class Explorer:
             branching_h.observe(branch)
 
         return finish(complete=True)
+
+    def solo(
+        self, config: Configuration, pid: int, limit: int
+    ) -> Tuple[int, Optional[Hashable]]:
+        """Run ``pid`` alone from ``config`` for at most ``limit`` steps.
+
+        Returns ``(steps, value)``: ``value`` is what ``pid`` decided
+        after its ``steps``-th step, or None if it halted undecided or
+        was still running after ``limit`` steps.  Decisions already
+        made in ``config`` are not reported.  The engine follows the
+        system's type, like :meth:`explore`; both give the same pair.
+        """
+        kernel_explorer = self._resolve_kernel()
+        if kernel_explorer is not None:
+            return kernel_explorer.solo(config, pid, limit)
+        system = self.system
+        for steps in range(1, limit + 1):
+            if not system.enabled(config, pid):
+                return steps - 1, None
+            config, _ = system.step(config, pid)
+            value = system.decision(config, pid)
+            if value is not None:
+                return steps, value
+        return limit, None
 
     @staticmethod
     def _path(

@@ -28,8 +28,7 @@ The CLI names protocols as ``family:n[:extra]``, e.g. ``rounds:4``,
 ``adversary`` and ``audit`` accept ``--cache-dir`` (persistent valency
 cache; defaults to ``~/.cache/repro`` when the ``cache`` command
 manages it explicitly).  Every command explores on the compiled kernel
-(:mod:`repro.kernel`) with the incremental valency engine; there are no
-engine flags.  The reference interpreter is reached by building an
+(:mod:`repro.kernel`); there are no engine flags.  The reference interpreter is reached by building an
 :class:`~repro.model.system.InterpretedSystem` instead of a ``System``.
 
 ``lint`` has its own exit-code nuance within the same contract: 0 means
@@ -610,14 +609,6 @@ def cmd_stats(args) -> int:
         ["valency-cache hit rate",
          rate(counters.get("valency_cache.hits", 0), probes)]
     )
-    seeded = counters.get("incremental.seeded", 0)
-    cold = counters.get("incremental.cold", 0)
-    derived.append(
-        ["incremental seed rate", rate(seeded, seeded + cold)]
-    )
-    intern_hits = counters.get("intern.hits", 0)
-    intern_total = intern_hits + counters.get("intern.misses", 0)
-    derived.append(["intern hit rate", rate(intern_hits, intern_total)])
     frontier_peak = gauges.get("explorer.frontier_peak")
     derived.append(
         ["frontier peak", "n/a" if frontier_peak is None else frontier_peak]

@@ -52,9 +52,9 @@ def space_lower_bound(
     with a concrete consensus-violation witness.
 
     ``oracle`` lets callers inject a pre-built valency oracle -- a
-    budgeted or journaled one (see :mod:`repro.faults`), or a cold one
-    (``incremental=False``) -- in which case
-    ``max_configs``/``max_depth``/``strict`` are taken from the oracle.
+    budgeted or journaled one (see :mod:`repro.faults`) -- in which
+    case ``max_configs``/``max_depth``/``strict`` are taken from the
+    oracle.
     The exploration engine follows the system's type: ``System`` runs
     on the compiled kernel, ``InterpretedSystem`` on the interpreter.
     """

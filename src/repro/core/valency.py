@@ -62,7 +62,6 @@ class ValencyOracle:
         budget=None,
         cache=None,
         cache_dir=None,
-        incremental: bool = True,
     ):
         """``strict`` oracles answer exactly: a "cannot decide" is backed
         by an exhausted reachable graph, and budget overruns raise
@@ -81,20 +80,9 @@ class ValencyOracle:
         ``cache_dir`` enables the persistent on-disk result cache;
         disk-loaded witnesses are replay-validated before use.
 
-        ``incremental`` (on by default) attaches an
-        :class:`~repro.core.incremental.IncrementalEngine`:
-        configuration interning plus memoised step/key/decision tables
-        shared by every query, and frontier reuse -- negative answers
-        served from previously exhausted reachable graphs without a new
-        search.  Answers and witnesses are bit-identical either way;
-        only the work to produce them changes.  It is the one engine
-        switch: ``incremental=False`` gives the cold oracle the E18
-        benchmark and the incremental differential tests compare
-        against.
-
-        The exploration engine follows the system's type
+        The engine follows the system's type
         (:class:`~repro.analysis.explorer.Explorer`): a ``System`` runs
-        on the compiled kernel, an
+        its searches and solo probes on the compiled kernel, an
         :class:`~repro.model.system.InterpretedSystem` on the reference
         interpreter.  Answers, witnesses and certificates are
         bit-identical either way.
@@ -114,22 +102,12 @@ class ValencyOracle:
         #: construction's work happens inside oracle queries, so ticking
         #: here bounds the adversaries end to end.
         self.budget = budget
-        self.incremental = incremental
-        if incremental:
-            from repro.core.incremental import IncrementalEngine
-
-            self._engine: Optional[IncrementalEngine] = IncrementalEngine(
-                system
-            )
-        else:
-            self._engine = None
         self.explorer = Explorer(
             system,
             max_configs=max_configs,
             max_depth=max_depth,
             strict=strict,
             budget=budget,
-            engine=self._engine,
         )
         if cache is None and cache_dir is not None:
             from repro.parallel.cache import ValencyCache
@@ -159,19 +137,11 @@ class ValencyOracle:
         self._complete: Dict[Tuple[Hashable, FrozenSet[int]], FrozenSet[Hashable]] = {}
         # Bounded mode only: values searched for and not found (heuristic).
         self._bounded_negative: Dict[Tuple[Hashable, FrozenSet[int]], set] = {}
-        # Exact negatives proven by the frontier-reuse index (sound in
-        # strict mode too, unlike _bounded_negative).
-        self._proven_negative: Dict[Tuple[Hashable, FrozenSet[int]], set] = {}
-        # Interner counts already mirrored into metrics.
-        self._intern_hits_flushed = 0
-        self._intern_misses_flushed = 0
         self._closed = False
         #: Query counters, exposed for the memoisation ablation benchmark
-        #: and the cache benchmarks: ``explorations`` counts
-        #: actual graph searches, ``disk_hits`` the searches avoided by
-        #: the persistent cache, ``incremental.seeded`` the searches
-        #: avoided by the frontier-reuse index (``incremental.cold``
-        #: counts engine-attached searches that did run).
+        #: and the cache benchmarks: ``explorations`` counts actual
+        #: graph searches, ``disk_hits`` the searches avoided by the
+        #: persistent cache.
         self.stats = {
             "queries": 0,
             "cache_hits": 0,
@@ -179,35 +149,12 @@ class ValencyOracle:
             "explorations": 0,
             "disk_hits": 0,
             "disk_stores": 0,
-            "intern.hits": 0,
-            "intern.misses": 0,
-            "incremental.seeded": 0,
-            "incremental.cold": 0,
         }
 
     def _bump(self, name: str, amount: int = 1) -> None:
         """Advance a stats counter and its ``oracle.*`` registry mirror."""
         self.stats[name] += amount
         get_metrics().counter(f"oracle.{name}").inc(amount)
-
-    def _bump_raw(self, name: str, amount: int = 1) -> None:
-        """Advance a stats counter mirrored under its own registry name."""
-        self.stats[name] += amount
-        get_metrics().counter(name).inc(amount)
-
-    def _sync_intern_hits(self) -> None:
-        """Mirror the engine's arena counters into ``intern.*``."""
-        engine = self._engine
-        if engine is None:
-            return
-        delta = engine.interner.hits - self._intern_hits_flushed
-        if delta:
-            self._intern_hits_flushed = engine.interner.hits
-            self._bump_raw("intern.hits", delta)
-        delta = engine.interner.misses - self._intern_misses_flushed
-        if delta:
-            self._intern_misses_flushed = engine.interner.misses
-            self._bump_raw("intern.misses", delta)
 
     def _observe_exploration(self, visited: int) -> None:
         """Account one graph search (the oracle's unit of real work)."""
@@ -220,9 +167,9 @@ class ValencyOracle:
 
         A closed oracle refuses further queries
         (:class:`~repro.errors.AdversaryError`): answers computed after
-        close would silently skip the persistent cache and the engine's
-        shared memo state, so a late query is almost always a lifecycle
-        bug in the caller.  ``close`` itself is idempotent.
+        close would silently skip the persistent cache and the kernel's
+        shared tables, so a late query is almost always a lifecycle bug
+        in the caller.  ``close`` itself is idempotent.
         """
         self._closed = True
         self.explorer.close()
@@ -272,42 +219,23 @@ class ValencyOracle:
 
         Most positive valency queries are answered by somebody deciding
         alone -- a one-path probe that is orders of magnitude cheaper
-        than BFS and whose witnesses are exact.
+        than BFS and whose witnesses are exact.  On a ``System`` the
+        runs read the compiled kernel's plan and effect tables, so
+        lemma scans that re-probe overlapping solo chains pay a few
+        dictionary probes per step, not a model step.
         """
         key = self._key(config, pids)
         known = self._witnesses.setdefault(key, {})
-        engine = self._engine
-        if engine is not None:
-            # Route the probe through the interned memo tables: lemma
-            # scans re-probe overlapping solo chains, which then cost
-            # one dictionary hit per step instead of a model step.
-            config = engine.intern(config)
-            decided_here = engine.decided_values(config)
-        else:
-            decided_here = self.system.decided_values(config)
-        for value in decided_here:
+        for value in self.system.decided_values(config):
             known.setdefault(value, ())
         for pid in sorted(pids):
             if self.budget is not None:
                 self.budget.tick()
-            cursor = config
-            steps = 0
-            for _ in range(self.SOLO_PROBE_STEPS):
-                if engine is not None:
-                    if engine.poised(cursor, pid) is None:
-                        break
-                    cursor = engine.step(cursor, pid)
-                    steps += 1
-                    value = engine.decision(cursor, pid)
-                else:
-                    if not self.system.enabled(cursor, pid):
-                        break
-                    cursor, _ = self.system.step(cursor, pid)
-                    steps += 1
-                    value = self.system.decision(cursor, pid)
-                if value is not None:
-                    known.setdefault(value, (pid,) * steps)
-                    break
+            steps, value = self.explorer.solo(
+                config, pid, self.SOLO_PROBE_STEPS
+            )
+            if value is not None:
+                known.setdefault(value, (pid,) * steps)
 
     # -- persistent cache plumbing -----------------------------------------
     def _digest_for(self, key: Hashable) -> Optional[str]:
@@ -404,29 +332,7 @@ class ValencyOracle:
             if stop_when is not None and stop_when <= set(
                 self._witnesses.get(key, {})
             ):
-                self._sync_intern_hits()
                 return False
-        if self._engine is not None and stop_when is not None:
-            # Frontier reuse: if this configuration lies inside a graph
-            # some earlier query exhausted for the same process set, a
-            # value decided nowhere in that graph is exactly
-            # undecidable from here -- Reach(C', P) is a subset of the
-            # indexed Reach(C, P) (docs/THEORY.md) -- so the remaining
-            # targets need no search at all.
-            remaining = frozenset(
-                stop_when - set(self._witnesses.get(key, {}))
-            )
-            if remaining and self._engine.prove_cannot_decide(
-                pids, key, remaining
-            ):
-                self._proven_negative.setdefault(key, set()).update(
-                    remaining
-                )
-                self._bump_raw("incremental.seeded")
-                self._sync_intern_hits()
-                return False
-        if self._engine is not None:
-            self._bump_raw("incremental.cold")
         with get_tracer().span(
             "oracle.explore",
             pids=sorted(pids),
@@ -441,7 +347,6 @@ class ValencyOracle:
             known.setdefault(value, witness)
         if result.complete:
             self._complete[key] = frozenset(result.decided)
-        self._sync_intern_hits()
         return True
 
     # -- queries -----------------------------------------------------------------
@@ -463,9 +368,6 @@ class ValencyOracle:
             if key in self._complete:
                 self._bump("cache_hits")
                 return value in self._complete[key]
-            if value in self._proven_negative.get(key, ()):
-                self._bump("cache_hits")
-                return False
             if value in self._bounded_negative.get(key, ()):
                 self._bump("cache_hits")
                 return False

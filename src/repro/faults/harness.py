@@ -91,10 +91,9 @@ def run_adversary_guarded(
     (:mod:`repro.parallel`); it is transparent to the three-outcome
     contract, because cached witnesses are replay-validated.
 
-    The oracle always has the incremental engine, and its exploration
-    engine follows the system's type: a ``System`` runs on the compiled
-    kernel of :mod:`repro.kernel`, an ``InterpretedSystem`` on the
-    reference interpreter.  Certificates, violation witnesses and
+    The oracle's engine follows the system's type: a ``System`` runs on
+    the compiled kernel of :mod:`repro.kernel`, an ``InterpretedSystem``
+    on the reference interpreter.  Certificates, violation witnesses and
     partial-progress reports are bit-identical either way.
 
     ``checkpoint`` names a journal file persisted *live*

@@ -100,6 +100,8 @@ class JournaledOracle(ValencyOracle):
     def can_decide(
         self, config: Configuration, pids: Iterable[int], value: Hashable
     ) -> bool:
+        # Closed means closed, replayed answers included.
+        self._check_open()
         pid_set = frozenset(pids)
         entry = self.journal.replay()
         if entry is not None:

@@ -1,6 +1,6 @@
 """Protocol fuzzing: corpus generation, differential oracle, zoo.
 
-The four engines (sequential, incremental cold and warm, compiled)
+The two engines (the sequential interpreter and the compiled kernel)
 must agree on every certificate, witness, verdict and exit code; the
 per-PR hypothesis differentials spot-check that claim on a few dozen
 automata.  This package industrializes the check into a corpus engine:
@@ -11,10 +11,9 @@ automata.  This package industrializes the check into a corpus engine:
   mutators (splice states, retarget transitions, swap op kinds,
   grow/shrink register sets);
 * :mod:`repro.fuzz.oracle` -- the cross-engine differential oracle:
-  every survivor runs through sequential, incremental cold/warm,
-  compiled and budget-guarded engines, and any divergence
-  in certificate bytes, witness replays, verdicts or exit codes is a
-  finding;
+  every survivor runs through the sequential, compiled and
+  budget-guarded engines, and any divergence in certificate bytes,
+  witness replays, verdicts or exit codes is a finding;
 * :mod:`repro.fuzz.zoo` -- content-addressed persistence
   (``stable_digest`` of the constructor recipe) of curated specimens
   with provenance, replayed by CI on every run;

@@ -1,4 +1,4 @@
-"""The cross-engine differential oracle: four engines, one truth.
+"""The cross-engine differential oracle: two engines, one truth.
 
 Each surviving specimen runs through every engine configuration and the
 results are compared *as bytes*: exploration fingerprints (decided
@@ -10,12 +10,12 @@ outcome status with its CLI exit code.  Any difference is a
 with the sequential baseline, caught on a five-state automaton instead
 of inside a lemma driver.
 
-The engine matrix mirrors the proof-preservation claims the repo makes
-(THEORY.md): incremental cold/warm, the compiled packed-integer kernel
-(:mod:`repro.kernel`), and budget-guarded runs must all be
-bit-identical to the sequential interpreter.  Each row names the system
-class its leg builds: :class:`~repro.model.system.InterpretedSystem`
-for the interpreter legs, ``System`` for the kernel leg.  ``sabotage``
+The engine matrix mirrors the proof-preservation claim the repo makes
+(THEORY.md): the compiled packed-integer kernel (:mod:`repro.kernel`)
+and budget-guarded runs must be bit-identical to the sequential
+interpreter.  Each row names the system class its leg builds:
+:class:`~repro.model.system.InterpretedSystem` for the interpreter
+leg, ``System`` for the kernel leg.  ``sabotage``
 exists so the harness can prove *itself* non-vacuous: a deterministic
 perturbation of one engine's fingerprint must be caught, minimized and
 persisted (the seeded known-divergence fixture in the tests and the
@@ -32,7 +32,6 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Type
 from repro.absint import ValueSet, analyze_table
 from repro.analysis.checker import check_consensus_exhaustive
 from repro.analysis.explorer import Explorer
-from repro.core.incremental import IncrementalEngine
 from repro.model.system import InterpretedSystem, System
 from repro.model.table import TableProtocol
 from repro.obs.runtime import get_metrics
@@ -52,30 +51,20 @@ class EngineSpec:
 
     ``system_class`` is the system the leg builds, and so its
     exploration engine: ``System`` runs on the compiled kernel,
-    :class:`InterpretedSystem` on the interpreter.  ``warm`` runs every
-    exploration twice against one shared incremental engine and
-    fingerprints the *second* pass -- the memo-served answers must
-    equal the cold ones.  ``sabotage`` applies
-    a deterministic corruption to the fingerprint ("drop-witness-step"
-    or "forget-value") and exists only so tests and campaigns can prove
-    the oracle catches a lying engine.
+    :class:`InterpretedSystem` on the interpreter.  ``sabotage``
+    applies a deterministic corruption to the fingerprint
+    ("drop-witness-step" or "forget-value") and exists only so tests
+    and campaigns can prove the oracle catches a lying engine.
     """
 
     name: str
     system_class: Type[System] = System
-    incremental: bool = False
-    warm: bool = False
     sabotage: Optional[str] = None
 
 
-#: The default matrix: the sequential baseline plus one row per
-#: proof-preservation claim.
+#: The default matrix: the sequential baseline and the compiled kernel.
 DEFAULT_ENGINES: Tuple[EngineSpec, ...] = (
     EngineSpec("sequential", InterpretedSystem),
-    EngineSpec("incremental", InterpretedSystem, incremental=True),
-    EngineSpec(
-        "incremental-warm", InterpretedSystem, incremental=True, warm=True
-    ),
     EngineSpec("compiled"),
 )
 
@@ -170,35 +159,27 @@ def engine_fingerprint(
     system = fresh_system(protocol, spec.system_class)
     n = system.protocol.n
     pids = frozenset(range(n))
-    engine = IncrementalEngine(system) if spec.incremental else None
     explorer = Explorer(
-        system,
-        max_configs=max_configs,
-        max_depth=max_depth,
-        strict=False,
-        engine=engine,
+        system, max_configs=max_configs, max_depth=max_depth, strict=False
     )
     replay = fresh_system(protocol)
     explorations: List[Dict[str, Any]] = []
-    passes = 2 if spec.warm else 1
-    for _ in range(passes):
-        explorations = []
-        for inputs in input_vectors(n):
-            root = system.initial_configuration(list(inputs))
-            result = explorer.explore(root, pids)
-            decided = sorted(
-                ([_decision_key(value), _encode_schedule(schedule)]
-                 for value, schedule in result.decided.items()),
-                key=lambda pair: json.dumps(pair, sort_keys=True),
-            )
-            explorations.append({
-                "inputs": list(inputs),
-                "decided": decided,
-                "visited": result.visited,
-                "complete": bool(result.complete),
-                "truncated": bool(result.truncated),
-                "witnesses_replay": bool(result.witnesses_replay(replay)),
-            })
+    for inputs in input_vectors(n):
+        root = system.initial_configuration(list(inputs))
+        result = explorer.explore(root, pids)
+        decided = sorted(
+            ([_decision_key(value), _encode_schedule(schedule)]
+             for value, schedule in result.decided.items()),
+            key=lambda pair: json.dumps(pair, sort_keys=True),
+        )
+        explorations.append({
+            "inputs": list(inputs),
+            "decided": decided,
+            "visited": result.visited,
+            "complete": bool(result.complete),
+            "truncated": bool(result.truncated),
+            "witnesses_replay": bool(result.witnesses_replay(replay)),
+        })
     # Always release the engine: the compiled kernel's spill segments /
     # mmap handles are dropped eagerly.
     explorer.close()
@@ -345,11 +326,10 @@ def differential(
 
     The first engine is the baseline (conventionally sequential).  With
     ``guarded=True`` the adversary-outcome leg runs too, once per system
-    class (every guarded oracle has the incremental engine, so the
-    class is all that varies): its ``run_adversary_guarded`` status,
-    exit code and serialized payload must match the baseline's (this is
-    the expensive leg; campaigns enable it, the mutator property tests
-    do not).
+    class (the class is all that varies between guarded oracles): its
+    ``run_adversary_guarded`` status, exit code and serialized payload
+    must match the baseline's (this is the expensive leg; campaigns
+    enable it, the mutator property tests do not).
     """
     report = DifferentialReport(
         protocol_name=protocol.name,

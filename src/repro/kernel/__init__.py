@@ -20,7 +20,8 @@ kernel* over packed integers:
   novel ``(pid, state, value)`` and memoise the delta forever.
 * :mod:`repro.kernel.explore` -- a batch explorer expanding whole
   frontiers per call, bit-identical to ``Explorer.explore`` (same
-  budget ticks, same early exits, same metrics).
+  budget ticks, same early exits, same metrics), and the solo runs of
+  ``Explorer.solo`` over the same plan and effect tables.
 * :mod:`repro.kernel.store` -- the out-of-core visited store: rows
   spill to checksummed mmap'd segments past a RAM threshold
   (``REPRO_KERNEL_SPILL_THRESHOLD``), with quarantine-on-corruption.

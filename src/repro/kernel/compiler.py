@@ -21,9 +21,9 @@ therefore every row fingerprint -- is process-stable.  Any other
 protocol (DSL programs such as ``CommitAdoptRounds``, randomized
 protocols with coin flips) lowers *dynamically*: plans and deltas are
 discovered through the miss handlers.  Both paths rely only on the
-purity contracts the incremental engine already assumes
-(``poised``/``transition``/``decision`` and the coin tape are pure
-functions of their arguments).
+model's purity contracts (``poised``/``transition``/``decision`` and
+the coin tape are pure functions of their arguments).  The explorer's
+BFS and its solo runs read the same tables.
 
 Decision probing rides on state interning: the moment a novel state is
 interned the compiler asks ``protocol.decision(pid, state)`` for every
@@ -154,6 +154,17 @@ class CompiledProgram:
             if value is not None:
                 self.decisions[pid][sid] = value
                 self.deciding = True
+
+    def close(self) -> None:
+        """Detach the codec's state hook, a bound method of this program.
+
+        The program and its codec otherwise form a reference cycle that
+        only the cyclic garbage collector frees; detached, a closed
+        kernel is freed as soon as its explorer drops it.  A closed
+        program must not intern new states: their decisions would go
+        unrecorded.
+        """
+        self.codec._on_new_state = None
 
     # -- miss handlers (cold path) ------------------------------------
 

@@ -9,9 +9,9 @@ lives in ``tests/test_kernel_differential.py``.
 Layout of one exploration:
 
 * The *visited space* (one per process set, persistent across
-  explorations so canonicalisation and interning amortise like the
-  incremental engine's memos) assigns a dense global id (``gcid``) to
-  every distinct canonical configuration and stores its representative
+  explorations so canonicalisation and interning amortise over an
+  oracle's queries) assigns a dense global id (``gcid``) to every
+  distinct canonical configuration and stores its representative
   packed row in a spillable :class:`~repro.kernel.store.RowStore`.
 * The *frontier log* is a second ``RowStore`` holding one 112-bit
   record per BFS discovery::
@@ -31,7 +31,9 @@ contract enforced by ``repro lint --self``: no object-model calls, no
 ``Configuration`` construction, no pack/unpack, no comprehensions --
 per-edge work is shifts, masks, one big-int add and dict probes.  Cold
 paths (plan/effect misses, canonicalisation of novel rows) are the
-``*_miss``/``resolve`` handlers the loop delegates to.
+``*_miss``/``resolve`` handlers the loop delegates to.  Solo runs (the
+valency oracle's solo probes) walk the same plan and effect tables in
+:func:`_hot_solo`, under the same contract.
 """
 
 from __future__ import annotations
@@ -233,6 +235,36 @@ def _hot_expand(
     return "done"
 
 
+def _hot_solo(
+    row, pid, limit, pplans, pdecisions, plan_miss, effect_miss, shift, fmask
+):
+    """Run ``pid`` alone from ``row``; returns ``(steps, value)``.
+
+    Statement for statement the loop of ``Explorer.solo``: take the
+    plan of ``pid``'s state (stop if it halted), add its delta, and stop
+    as soon as ``pid``'s new state decides.
+    """
+    for steps in range(1, limit + 1):
+        sid = (row >> shift) & fmask
+        plan = pplans.get(sid, _MISS)
+        if plan is _MISS:
+            plan = plan_miss(pid, sid)
+        if plan is None:
+            return steps - 1, None
+        if plan[0] == 0:
+            cur = (row >> plan[1]) & fmask
+            delta = plan[2].get(cur, _MISS)
+            if delta is _MISS:
+                delta = effect_miss(plan, cur)
+            row += delta
+        else:
+            row += plan[2]
+        value = pdecisions.get((row >> shift) & fmask)
+        if value is not None:
+            return steps, value
+    return limit, None
+
+
 def _schedule_of(log: RowStore, lid: int) -> Tuple[int, ...]:
     """Read the root-to-``lid`` pid schedule off the frontier log."""
     steps = []
@@ -275,6 +307,25 @@ class KernelExplorer:
         for sp in self._spaces.values():
             sp.close()
         self._spaces.clear()
+        self.program.close()
+
+    def solo(
+        self, config: Configuration, pid: int, limit: int
+    ) -> Tuple[int, Optional[Hashable]]:
+        """``Explorer.solo`` over packed rows (same ``(steps, value)``)."""
+        program = self.program
+        codec = program.codec
+        return _hot_solo(
+            codec.pack(config),
+            pid,
+            limit,
+            program.plans[pid],
+            program.decisions[pid],
+            program.plan_miss,
+            program.effect_miss,
+            codec.state_shifts[pid],
+            codec.field_mask,
+        )
 
     def explore(
         self,
@@ -286,15 +337,10 @@ class KernelExplorer:
         max_depth: Optional[int],
         strict: bool,
         budget=None,
-        engine=None,
     ) -> ExplorationResult:
         program = self.program
         codec = program.codec
         pid_set = frozenset(pids)
-        if engine is not None:
-            # Mirror the interpreted explorer: result.root is the
-            # engine-interned (structurally equal) instance.
-            root = engine.intern(root)
         result = ExplorationResult(root=root, pids=pid_set)
 
         metrics = get_metrics()
@@ -365,19 +411,6 @@ class KernelExplorer:
                 truncated=result.truncated,
                 decided=sorted(found, key=repr),
             )
-            if (
-                engine is not None
-                and result.complete
-                and space.cid_keys is not None
-            ):
-                # Overridden-canonical protocols computed query keys on
-                # the way in; hand the exhausted graph to the engine for
-                # frontier reuse, exactly like the interpreted path.
-                engine.register_graph(
-                    pid_set,
-                    [space.cid_keys[g] for g in parents],
-                    frozenset(found),
-                )
             return result
 
         try:

@@ -168,8 +168,8 @@ class Protocol(ABC):
     ) -> Hashable:
         """:meth:`canonical_query_key`, free to memoise into ``cache``.
 
-        The incremental valency engine calls this with an engine-owned
-        mutable dictionary.  A protocol whose canonical key is built
+        The compiled kernel calls this with a dictionary owned by one
+        process set's visited space, once per novel row.  A protocol whose canonical key is built
         from per-process fragments (shifted local states, normalised
         register entries) may stash those fragments in ``cache`` keyed
         by hashable sub-inputs, turning the per-configuration

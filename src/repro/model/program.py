@@ -171,10 +171,10 @@ class ProcState:
     def __hash__(self) -> int:
         """Structural hash, computed once per instance.
 
-        Process states key the incremental engine's step/poised/decision
-        memos, so the same instance is hashed millions of times per
-        adversary run; both fields are immutable (``Env`` caches its own
-        hash), so caching is safe.
+        Process states key the kernel codec's state interner and every
+        interpreter step, so the same instance is hashed millions of
+        times per adversary run; both fields are immutable (``Env``
+        caches its own hash), so caching is safe.
         """
         try:
             return self._hash

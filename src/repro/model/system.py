@@ -228,8 +228,9 @@ class InterpretedSystem(System):
     kernel compiles only exact ``System`` instances
     (:func:`repro.kernel.kernel_unsupported_reason`), so an
     :class:`~repro.analysis.explorer.Explorer` over this system walks
-    ``Configuration`` objects.  The choice of engine travels with the
-    system object: differential tests, the E18/E21 benchmarks and the
-    fuzz matrix's interpreter legs build this class, everything else
-    builds ``System`` and gets the kernel.
+    ``Configuration`` objects, and its solo runs step the object model.
+    The choice of engine travels with the system object: differential
+    tests, the E21 benchmark and the fuzz matrix's interpreter leg
+    build this class, everything else builds ``System`` and gets the
+    kernel.
     """

@@ -183,9 +183,9 @@ def oracle_fingerprint(
     schedules where the plain BFS stores lexicographically-least
     shortest ones, and sharing entries across a setting that can
     influence what gets persisted would let one configuration's answers
-    resurface under another.  (The incremental engine and the
-    exploration engine are deliberately *not* addressed: their answers
-    and witnesses are bit-identical to the cold interpreter's.)
+    resurface under another.  (The exploration engine is deliberately
+    *not* addressed: the kernel's answers and witnesses are
+    bit-identical to the interpreter's.)
     """
     return stable_digest(
         (

@@ -127,7 +127,8 @@ class TestShiftAbstraction:
 class TestCachedQueryKey:
     """``canonical_query_key_cached`` promises strict equality with
     ``canonical_query_key`` for every protocol that overrides it (the
-    incremental engine serves keys through the cached hook)."""
+    compiled kernel canonicalises novel rows through the cached
+    hook)."""
 
     @pytest.mark.parametrize(
         "protocol, inputs",

@@ -5,11 +5,12 @@ strategy as tests/test_parallel_differential.py) and checks that the
 compiled packed-integer kernel (:mod:`repro.kernel`) returns *exactly*
 what the interpreted explorer returns: identical reachable-set
 fingerprints (decided values, witness schedules, visited counts,
-completeness flags), identical certificates, identical guarded exit
-codes -- with and without the incremental engine, and with the
-out-of-core spill forced down to a one-configuration threshold.  The
-interpreter legs run on :class:`InterpretedSystem`, the kernel legs on
-``System``: the engine follows the system's type.  Any divergence is a soundness bug in the
+completeness flags), identical solo runs, identical oracle answers and
+witnesses, identical certificates, identical guarded exit codes -- on a
+fresh and on a warmed kernel, and with the out-of-core spill forced
+down to a one-configuration threshold.  The interpreter legs run on
+:class:`InterpretedSystem`, the kernel legs on ``System``: the engine
+follows the system's type.  Any divergence is a soundness bug in the
 lowering, found here on a five-state automaton instead of inside a
 lemma driver.
 """
@@ -20,11 +21,16 @@ import os
 from hypothesis import given
 import hypothesis.strategies as st
 
+import pytest
+
 from repro.analysis.explorer import Explorer
+from repro.cli import parse_protocol
 from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
+from repro.core.valency import ValencyOracle
 from repro.errors import BudgetExhausted, ExplorationLimitError
 from repro.faults.budget import Budget
+from repro.fuzz.oracle import input_vectors
 from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds
 
@@ -49,12 +55,10 @@ def result_fingerprint(result):
     )
 
 
-def explore_with(protocol, system_class, *, inputs, engine=None,
-                 stop_when=None, max_configs=50_000):
+def explore_with(protocol, system_class, *, inputs, stop_when=None,
+                 max_configs=50_000):
     system = fresh_system(protocol, system_class)
-    explorer = Explorer(
-        system, max_configs=max_configs, strict=False, engine=engine
-    )
+    explorer = Explorer(system, max_configs=max_configs, strict=False)
     root = system.initial_configuration(inputs)
     result = explorer.explore(
         root, frozenset(range(protocol.n)), stop_when=stop_when
@@ -104,20 +108,15 @@ def test_compiled_stop_when_is_bit_identical(protocol, value):
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
 @DIFFERENTIAL
-def test_compiled_with_incremental_engine_is_bit_identical(
-    protocol, inputs_seed
-):
-    from repro.core.incremental import IncrementalEngine
-
+def test_compiled_warm_space_is_bit_identical(protocol, inputs_seed):
     inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
     interp = explore_with(protocol, InterpretedSystem, inputs=inputs)
     system = fresh_system(protocol)
-    engine = IncrementalEngine(system)
-    explorer = Explorer(system, max_configs=50_000, strict=False, engine=engine)
+    explorer = Explorer(system, max_configs=50_000, strict=False)
     pids = frozenset(range(protocol.n))
     root = system.initial_configuration(inputs)
-    # Twice: the second pass exercises the warmed persistent space and
-    # the engine's registered-graph index.
+    # Twice: the second pass runs on the persistent space the first
+    # one warmed.
     first = explorer.explore(root, pids)
     second = explorer.explore(root, pids)
     explorer.close()
@@ -135,6 +134,79 @@ def test_compiled_forced_spill_is_bit_identical(protocol, inputs_seed):
     )
     assert result_fingerprint(compiled) == result_fingerprint(interp)
     assert compiled.witnesses_replay(fresh_system(protocol))
+
+
+def solo_runs(system, limit):
+    """``Explorer.solo`` for every pid from every ``input_vectors`` root."""
+    explorer = Explorer(system)
+    n = system.protocol.n
+    try:
+        return [
+            explorer.solo(system.initial_configuration(list(inputs)), pid, limit)
+            for inputs in input_vectors(n)
+            for pid in range(n)
+        ]
+    finally:
+        explorer.close()
+
+
+SOLO_LIMITS = (1, ValencyOracle.SOLO_PROBE_STEPS)
+
+
+@given(protocol=table_protocols())
+@DIFFERENTIAL
+def test_compiled_solo_run_equals_interpreter(protocol):
+    for limit in SOLO_LIMITS:
+        assert solo_runs(fresh_system(protocol), limit) == solo_runs(
+            fresh_system(protocol, InterpretedSystem), limit
+        )
+
+
+@pytest.mark.parametrize("spec", ["randomized:3", "rounds:3", "racing:3", "tas:2"])
+def test_compiled_solo_run_equals_interpreter_on_protocol_families(spec):
+    """Table protocols never flip coins; ``randomized`` does."""
+    for limit in SOLO_LIMITS:
+        assert solo_runs(System(parse_protocol(spec)), limit) == solo_runs(
+            InterpretedSystem(parse_protocol(spec)), limit
+        )
+
+
+def query_all(oracle):
+    """The full query battery: every singleton plus the whole set, both
+    values, with witnesses for every positive answer."""
+    n = oracle.system.protocol.n
+    root = oracle.system.initial_configuration([0, 1] + [0] * (n - 2))
+    subsets = [frozenset({pid}) for pid in range(n)]
+    subsets.append(frozenset(range(n)))
+    answers = {}
+    witnesses = {}
+    for pids in subsets:
+        for value in VALUES:
+            answers[(pids, value)] = oracle.can_decide(root, pids, value)
+            if answers[(pids, value)]:
+                witnesses[(pids, value)] = oracle.witness(root, pids, value)
+    return answers, witnesses
+
+
+@given(protocol=table_protocols())
+@DIFFERENTIAL
+def test_compiled_oracle_equals_interpreted_oracle(protocol):
+    interp = ValencyOracle(
+        fresh_system(protocol, InterpretedSystem), max_configs=50_000
+    )
+    interp_answers, interp_witnesses = query_all(interp)
+    interp.close()
+    compiled = ValencyOracle(fresh_system(protocol), max_configs=50_000)
+    answers, witnesses = query_all(compiled)
+    compiled.close()
+    assert answers == interp_answers
+    assert witnesses == interp_witnesses
+    # Witnesses replay in a genuinely fresh system.
+    for (pids, value), schedule in witnesses.items():
+        system = fresh_system(protocol)
+        root = system.initial_configuration([0, 1] + [0] * (protocol.n - 2))
+        final, _ = system.run(root, schedule)
+        assert value in system.decided_values(final)
 
 
 def test_strict_limit_error_is_byte_identical():

@@ -1,4 +1,5 @@
-"""Out-of-core RowStore: spill, reload, collisions, quarantine, fallback.
+"""Out-of-core RowStore: spill, reload, collisions, quarantine, fallback,
+and the release of a closed kernel.
 
 The spill machinery is the one part of the compiled kernel with real
 failure modes (torn writes, bit rot, fingerprint collisions), so it
@@ -6,7 +7,9 @@ gets direct unit coverage here on top of the end-to-end differentials
 in tests/test_kernel_differential.py.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -263,3 +266,25 @@ class TestFallbackRecording:
         from repro.protocols.consensus import CommitAdoptRounds
 
         assert kernel_unsupported_reason(System(CommitAdoptRounds(2))) is None
+
+
+class TestKernelRelease:
+    def test_closed_kernel_is_freed_without_the_cyclic_collector(self):
+        """``Explorer.close()`` frees the compiled program by reference
+        counting alone: no program-codec cycle may outlive the close."""
+        from repro.analysis.explorer import Explorer
+        from repro.model.system import System
+        from repro.protocols.consensus import CommitAdoptRounds
+
+        system = System(CommitAdoptRounds(2))
+        explorer = Explorer(system, max_configs=1_000, strict=False)
+        explorer.explore(system.initial_configuration([0, 1]), frozenset({0, 1}))
+        program = weakref.ref(explorer._kernel_explorer.program)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            explorer.close()
+            assert program() is None
+        finally:
+            if was_enabled:
+                gc.enable()

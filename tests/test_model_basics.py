@@ -1,10 +1,13 @@
 """Unit tests for the core model: operations, registers, env, programs."""
 
+import pickle
+
 import pytest
 
 from repro.errors import InvalidOperationError, ProgramError
 from repro.model import (
     CompareAndSwap,
+    Configuration,
     Env,
     FetchAndAdd,
     ObjectKind,
@@ -24,6 +27,7 @@ from repro.model import (
     tas_object,
 )
 from repro.model.process import DecidedState
+from repro.protocols.consensus import CommitAdoptRounds
 
 
 class TestApplyOperation:
@@ -281,3 +285,27 @@ class TestIndistinguishability:
         assert base.indistinguishable_to(moved, [0])
         assert not base.indistinguishable_to(moved, [1])
         assert not base.indistinguishable_to(moved, [0, 1])
+
+
+class TestCachedHashPickling:
+    """Cached structural hashes must never travel between processes:
+    ``hash()`` is salted per interpreter, so a pickled configuration
+    must not carry one."""
+
+    def test_configuration_round_trip_drops_cached_hash(self):
+        config = Configuration(("s", "t"), (0, 1), (0, 0))
+        hash(config)  # populate the cache
+        assert "_hash" in config.__dict__
+        clone = pickle.loads(pickle.dumps(config))
+        assert "_hash" not in clone.__dict__
+        assert clone == config
+
+    def test_proc_state_round_trip_drops_cached_hash(self):
+        system = System(CommitAdoptRounds(2))
+        config = system.initial_configuration([0, 1])
+        state = config.states[0]
+        hash(state)
+        assert "_hash" in state.__dict__
+        clone = pickle.loads(pickle.dumps(state))
+        assert "_hash" not in clone.__dict__
+        assert clone == state

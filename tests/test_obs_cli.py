@@ -135,8 +135,6 @@ def test_stats_with_empty_metrics_prints_na_rates(tmp_path, capsys):
     for row in (
         "oracle memo hit rate",
         "valency-cache hit rate",
-        "incremental seed rate",
-        "intern hit rate",
         "frontier peak",
     ):
         line = next(l for l in out.splitlines() if l.startswith(row))

@@ -4,16 +4,15 @@ Every engine that claims to run the same breadth-first search must
 count the same events: each enabled step once (as an accepted edge or a
 dedup hit), the same branching per configuration, and the same
 frontier widths.  Hypothesis drives arbitrary small table protocols
-through the interpreter, the compiled kernel and the incremental
-engine under separate registries and demands equal counters and
-histograms -- and equal snapshots when the same search runs twice.
+through the interpreter and the compiled kernel under separate
+registries and demands equal counters and histograms -- and equal
+snapshots when the same search runs twice.
 """
 
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from repro.analysis.explorer import Explorer
-from repro.core.incremental import IncrementalEngine
 from repro.model.system import InterpretedSystem, System
 from repro.obs import MetricsRegistry, observe
 
@@ -76,26 +75,6 @@ def test_compiled_kernel_metrics_equal_interpreter(protocol, inputs_seed):
         lambda: Explorer(system, max_configs=50_000), root, pids
     )
     assert_metrics_equal(interp_snap, compiled_snap)
-
-
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 3))
-@PROPERTY
-def test_incremental_engine_metrics_equal_cold(protocol, inputs_seed):
-    inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    pids = frozenset(range(protocol.n))
-    for system in (System(protocol), InterpretedSystem(protocol)):
-        root = system.initial_configuration(inputs)
-        _, cold_snap = explore_with_metrics(
-            lambda: Explorer(system, max_configs=50_000), root, pids
-        )
-        _, engine_snap = explore_with_metrics(
-            lambda: Explorer(
-                system, max_configs=50_000, engine=IncrementalEngine(system)
-            ),
-            root,
-            pids,
-        )
-        assert engine_snap == cold_snap
 
 
 @given(protocol=table_protocols())

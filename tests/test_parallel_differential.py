@@ -5,7 +5,7 @@ Hypothesis generates small arbitrary protocol automata
 not necessarily correct consensus protocols) and checks that the
 cache-backed oracle answers *exactly* the same cold and warm.  The
 strategy and helpers here are shared by the other differential suites
-(kernel, incremental, obs).
+(kernel, obs).
 """
 
 import tempfile

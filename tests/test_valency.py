@@ -8,6 +8,7 @@ from repro.core.valency import (
     ValencyOracle,
     initial_bivalent_configuration,
 )
+from repro.faults.resume import JournaledOracle, QueryJournal
 from repro.model.system import System
 from repro.protocols.consensus import (
     CasConsensus,
@@ -181,3 +182,38 @@ class TestOracleMechanics:
         before = oracle.stats["cache_hits"]
         assert not oracle.can_decide(config, frozenset({0}), 1)
         assert oracle.stats["cache_hits"] == before + 1
+
+
+def journaled_oracle(system):
+    """A journaled oracle with one answer left to replay after the
+    first query (its journal holds a recorded entry twice)."""
+    root = system.initial_configuration([0, 1])
+    recorder = JournaledOracle(system, QueryJournal())
+    recorder.can_decide(root, frozenset({0}), 0)
+    recorder.close()
+    return JournaledOracle(system, QueryJournal(recorder.journal.entries * 2))
+
+
+class TestOracleLifecycle:
+    @pytest.mark.parametrize(
+        "make_oracle",
+        [ValencyOracle, journaled_oracle],
+        ids=["plain", "journaled"],
+    )
+    def test_manual_close_rejects_further_queries(self, make_oracle):
+        system = System(TasConsensus(2))
+        oracle = make_oracle(system)
+        root = system.initial_configuration([0, 1])
+        assert oracle.can_decide(root, frozenset({0}), 0)
+        oracle.close()
+        oracle.close()  # idempotent
+        with pytest.raises(AdversaryError):
+            oracle.can_decide(root, frozenset({0}), 0)
+
+    def test_context_manager_close_rejects_further_queries(self):
+        system = System(TasConsensus(2))
+        root = system.initial_configuration([0, 1])
+        with ValencyOracle(system) as oracle:
+            assert oracle.can_decide(root, frozenset({0}), 0)
+        with pytest.raises(AdversaryError):
+            oracle.can_decide(root, frozenset({0}), 0)

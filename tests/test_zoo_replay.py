@@ -5,10 +5,10 @@ under ``corpus/zoo/`` it asserts:
 
 * the file's bytes are exactly the canonical re-encoding of its own
   recipe (no drifted hand edits), and its digest matches its content;
-* the sequential, incremental-cold, incremental-warm and
-  compiled-kernel engines produce byte-identical exploration
-  fingerprints -- decided values, witness schedules, visited counts,
-  completeness flags -- over the fixed input sweep;
+* the sequential interpreter and the compiled kernel produce
+  byte-identical exploration fingerprints -- decided values, witness
+  schedules, visited counts, completeness flags -- over the fixed
+  input sweep;
 * every witness schedule any engine hands out replays to its decision
   on a fresh sequential system.
 
