@@ -93,7 +93,7 @@ class ExplorationResult:
         True iff each recorded schedule, applied to the root
         configuration, reaches a configuration where its value is
         decided.  Used by the differential tests to check that kernel
-        and cached runs hand out schedules a fresh system accepts.
+        runs hand out schedules a fresh system accepts.
         """
         for value, schedule in self.decided.items():
             final, _ = system.run(self.root, schedule)

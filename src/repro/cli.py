@@ -13,23 +13,22 @@ mutex       measure canonical-execution costs of the mutex algorithms
 validate    re-validate a saved certificate JSON against its protocol
 protocols   list the protocols the CLI can name
 lint        static protocol analysis and repository self-lint
-cache       inspect or clear the persistent valency cache
 fuzz        protocol fuzzing: deterministic corpus campaigns through the
             cross-engine differential oracle (``fuzz run``), plus the
             persistent regression zoo (``fuzz zoo list|replay``)
-chaos       differential runtime fault injection (results must stay
-            byte-equal under cache corruption and torn journals)
+chaos       differential runtime fault injection (a run resumed from a
+            torn checkpoint journal must stay byte-equal)
 stats       render the metrics record of a trace journal as tables
 trace       filter and pretty-print a trace journal's spans and events
 
 The CLI names protocols as ``family:n[:extra]``, e.g. ``rounds:4``,
 ``shared:5:3``, ``cas:3``, ``kset:5:2``, ``counter:6``, ``snapshot:4``.
 
-``adversary`` and ``audit`` accept ``--cache-dir`` (persistent valency
-cache; defaults to ``~/.cache/repro`` when the ``cache`` command
-manages it explicitly).  Every command explores on the compiled kernel
-(:mod:`repro.kernel`); there are no engine flags.  The reference interpreter is reached by building an
-:class:`~repro.model.system.InterpretedSystem` instead of a ``System``.
+Every command explores on the compiled kernel (:mod:`repro.kernel`);
+there are no engine flags.  The reference interpreter is reached by
+building an :class:`~repro.model.system.InterpretedSystem` instead of a
+``System``.  ``adversary --resume`` is the one way to persist oracle
+answers across runs.
 
 ``lint`` has its own exit-code nuance within the same contract: 0 means
 no diagnostics beyond ``info``, 2 means warnings or errors were
@@ -70,7 +69,6 @@ from repro.analysis.checker import (
 )
 from repro.analysis.report import describe_limit, print_table
 from repro.core.serialize import certificate_from_json, to_json
-from repro.faults.chaos import SCENARIOS as CHAOS_SCENARIOS
 from repro.model.system import System
 from repro.perturbable import covering_induction
 from repro.perturbable.objects import (
@@ -232,7 +230,6 @@ def cmd_adversary(args) -> int:
             max_configs=args.max_configs,
             max_depth=args.max_depth,
             spec=args.protocol,
-            cache_dir=args.cache_dir,
         )
     else:
         if args.resume is not None and os.path.exists(args.resume):
@@ -246,7 +243,6 @@ def cmd_adversary(args) -> int:
             max_configs=args.max_configs,
             max_depth=args.max_depth,
             spec=args.protocol,
-            cache_dir=args.cache_dir,
             checkpoint=args.resume,
         )
     if outcome.status == "certificate":
@@ -320,7 +316,7 @@ def cmd_audit(args) -> int:
     from repro.faults import run_adversary_guarded
 
     rows = []
-    worst = EXIT_OK
+    violation = budget = False
     for spec in args.protocols:
         protocol = parse_protocol(spec)
         system = System(protocol)
@@ -334,22 +330,22 @@ def cmd_audit(args) -> int:
                 verdict = f"ok ({describe_limit(check.configs_visited)})"
         else:
             verdict = check.first_violation().kind
-            worst = max(worst, EXIT_VIOLATION)
+            violation = True
         outcome = run_adversary_guarded(
             system, budget=_make_budget(args), max_configs=args.max_configs,
-            max_depth=args.max_depth, spec=spec, cache_dir=args.cache_dir,
+            max_depth=args.max_depth, spec=spec,
         )
         if outcome.status == "certificate":
             bound = f"{outcome.certificate.bound} pinned"
         elif outcome.status == "violation":
             bound = "ViolationError"
-            worst = max(worst, EXIT_VIOLATION)
+            violation = True
         else:
             bound = f"budget ({len(outcome.partial.queries)} queries"
             if outcome.partial.note:
                 bound += f"; {outcome.partial.note}"
             bound += ")"
-            worst = max(worst, EXIT_BUDGET) if worst == EXIT_OK else worst
+            budget = True
         rows.append(
             [protocol.name, protocol.n, protocol.num_objects,
              protocol.n - 1, verdict, bound]
@@ -359,7 +355,10 @@ def cmd_audit(args) -> int:
         ["protocol", "n", "registers", "needed", "checker", "adversary"],
         rows,
     )
-    return worst
+    # A violation outranks a budget row wherever it appears.
+    if violation:
+        return EXIT_VIOLATION
+    return EXIT_BUDGET if budget else EXIT_OK
 
 
 def cmd_perturb(args) -> int:
@@ -508,7 +507,6 @@ def cmd_chaos(args) -> int:
             protocol,
             workdir,
             seed=args.seed,
-            scenarios=args.scenarios,
             max_configs=args.max_configs,
             max_depth=args.max_depth,
         )
@@ -522,12 +520,13 @@ def cmd_chaos(args) -> int:
             [row.scenario, "ok" if row.ok else "FAIL", row.detail]
             for row in rows
         ],
-        note="every scenario injects a runtime fault and demands the "
-        "serialized result stay byte-equal to the undisturbed run; a "
-        "scenario that injected nothing fails as vacuous",
+        note="the run resumed from a torn checkpoint journal must stay "
+        "byte-equal to the undisturbed run; a tear that lost no journaled "
+        "answer fails as vacuous",
     )
     if all(row.ok for row in rows):
-        print(f"ok: {len(rows)} chaos scenarios, all byte-equal")
+        names = ", ".join(row.scenario for row in rows)
+        print(f"ok: {names}, all byte-equal")
         return EXIT_OK
     failed = ", ".join(row.scenario for row in rows if not row.ok)
     print(f"FAIL: chaos scenarios not passed: {failed}")
@@ -600,14 +599,6 @@ def cmd_stats(args) -> int:
     derived.append(
         ["oracle memo hit rate",
          rate(counters.get("oracle.cache_hits", 0), queries)]
-    )
-    probes = (
-        counters.get("valency_cache.hits", 0)
-        + counters.get("valency_cache.misses", 0)
-    )
-    derived.append(
-        ["valency-cache hit rate",
-         rate(counters.get("valency_cache.hits", 0), probes)]
     )
     frontier_peak = gauges.get("explorer.frontier_peak")
     derived.append(
@@ -841,23 +832,6 @@ def cmd_absint(args) -> int:
     return EXIT_VIOLATION if refuted else EXIT_OK
 
 
-def cmd_cache(args) -> int:
-    from repro.parallel import ValencyCache
-
-    cache = ValencyCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"cleared {removed} cache files from {cache.base}")
-        return EXIT_OK
-    stats = cache.stats()
-    print_table(
-        "valency cache",
-        ["key", "value"],
-        [[key, stats[key]] for key in sorted(stats)],
-    )
-    return EXIT_OK
-
-
 def cmd_fuzz_run(args) -> int:
     from repro.fuzz import run_campaign
     from repro.fuzz.campaign import CampaignConfig
@@ -1004,14 +978,6 @@ def _observed(args):
                 handle.write("\n")
 
 
-def _add_cache_flag(p) -> None:
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist valency results under DIR so reruns skip "
-        "re-exploration",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1045,7 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint journal: resume from it if present; every "
         "computed oracle answer is appended to it as the run goes",
     )
-    _add_cache_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_adversary)
 
@@ -1068,7 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None,
         help="per-protocol wall-clock deadline in seconds",
     )
-    _add_cache_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_audit)
 
@@ -1124,7 +1088,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--self", dest="self_check", action="store_true",
         help="lint the repro codebase invariants (determinism of proof "
-        "paths, picklable errors, pinned trace schema)",
+        "paths, pinned trace schema, kernel hot path, durable checkpoint "
+        "writes)",
     )
     p.add_argument(
         "--root", default=None, metavar="DIR",
@@ -1161,14 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(p)
     p.set_defaults(func=cmd_absint)
-
-    p = sub.add_parser("cache", help="persistent valency cache admin")
-    p.add_argument("action", choices=["stats", "clear"])
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser(
         "fuzz",
@@ -1268,16 +1225,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("protocol", help="e.g. rounds:3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--scenarios", nargs="+", default=list(CHAOS_SCENARIOS),
-        choices=list(CHAOS_SCENARIOS),
-        help="scenarios to run (default: all)",
-    )
     p.add_argument("--max-configs", type=int, default=30_000)
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument(
         "--workdir", default=None, metavar="DIR",
-        help="keep scenario caches/journals under DIR (default: a "
+        help="keep the torn checkpoint journal under DIR (default: a "
         "temporary directory)",
     )
     _add_obs_flags(p)

@@ -35,7 +35,6 @@ def space_lower_bound(
     max_depth: Optional[int] = None,
     strict: bool = True,
     oracle: Optional[ValencyOracle] = None,
-    cache_dir=None,
 ) -> SpaceBoundCertificate:
     """Run the Theorem 1 adversary and return a validated certificate.
 
@@ -70,7 +69,6 @@ def space_lower_bound(
             max_configs=max_configs,
             max_depth=max_depth,
             strict=strict,
-            cache_dir=cache_dir,
         )
     with get_tracer().span(
         "theorem1", protocol=protocol.name, n=n

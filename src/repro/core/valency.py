@@ -60,8 +60,6 @@ class ValencyOracle:
         memoize: bool = True,
         solo_probe: bool = True,
         budget=None,
-        cache=None,
-        cache_dir=None,
     ):
         """``strict`` oracles answer exactly: a "cannot decide" is backed
         by an exhausted reachable graph, and budget overruns raise
@@ -75,10 +73,6 @@ class ValencyOracle:
         exact either way.  Constructions guided by a bounded oracle can
         take a wrong turn and fail -- but any certificate they *do*
         produce is validated by pure replay, independent of valency.
-
-        ``cache`` (a :class:`repro.parallel.ValencyCache`) or
-        ``cache_dir`` enables the persistent on-disk result cache;
-        disk-loaded witnesses are replay-validated before use.
 
         The engine follows the system's type
         (:class:`~repro.analysis.explorer.Explorer`): a ``System`` runs
@@ -109,28 +103,6 @@ class ValencyOracle:
             strict=strict,
             budget=budget,
         )
-        if cache is None and cache_dir is not None:
-            from repro.parallel.cache import ValencyCache
-
-            cache = ValencyCache(cache_dir)
-        #: Optional persistent result cache (None = memory-only memo).
-        self.cache = cache
-        self._fingerprint: Optional[str] = None
-        if cache is not None:
-            from repro.parallel.fingerprint import oracle_fingerprint
-
-            self._fingerprint = oracle_fingerprint(
-                system,
-                self.values,
-                strict=strict,
-                max_configs=max_configs,
-                max_depth=max_depth,
-                solo_probe=solo_probe,
-            )
-        # Memo of stable digests per query key (None = not addressable).
-        self._disk_digest: Dict[Hashable, Optional[str]] = {}
-        # Keys whose disk entry has already been consulted this run.
-        self._disk_checked: set = set()
         # (canonical key, pid frozenset) -> value -> witness schedule.
         self._witnesses: Dict[Tuple[Hashable, FrozenSet[int]], Dict[Hashable, Schedule]] = {}
         # (canonical key, pid frozenset) -> full decidable value set.
@@ -138,17 +110,14 @@ class ValencyOracle:
         # Bounded mode only: values searched for and not found (heuristic).
         self._bounded_negative: Dict[Tuple[Hashable, FrozenSet[int]], set] = {}
         self._closed = False
-        #: Query counters, exposed for the memoisation ablation benchmark
-        #: and the cache benchmarks: ``explorations`` counts actual
-        #: graph searches, ``disk_hits`` the searches avoided by the
-        #: persistent cache.
+        #: Query counters, exposed for the memoisation ablation benchmark:
+        #: ``cache_hits`` counts queries the in-memory memo answered,
+        #: ``explorations`` actual graph searches.
         self.stats = {
             "queries": 0,
             "cache_hits": 0,
             "explored_configs": 0,
             "explorations": 0,
-            "disk_hits": 0,
-            "disk_stores": 0,
         }
 
     def _bump(self, name: str, amount: int = 1) -> None:
@@ -166,10 +135,9 @@ class ValencyOracle:
         """Release the explorer's resources and retire the oracle.
 
         A closed oracle refuses further queries
-        (:class:`~repro.errors.AdversaryError`): answers computed after
-        close would silently skip the persistent cache and the kernel's
-        shared tables, so a late query is almost always a lifecycle bug
-        in the caller.  ``close`` itself is idempotent.
+        (:class:`~repro.errors.AdversaryError`): its explorer is closed
+        too, so a late query is almost always a lifecycle bug in the
+        caller.  ``close`` itself is idempotent.
         """
         self._closed = True
         self.explorer.close()
@@ -177,9 +145,8 @@ class ValencyOracle:
     def _check_open(self) -> None:
         if self._closed:
             raise AdversaryError(
-                "valency oracle is closed: queries after close() would "
-                "bypass the persistent cache and memo state; query before "
-                "closing (or build a fresh oracle)"
+                "valency oracle is closed, and so is its explorer; query "
+                "before closing (or build a fresh oracle)"
             )
 
     def __enter__(self) -> "ValencyOracle":
@@ -237,109 +204,20 @@ class ValencyOracle:
             if value is not None:
                 known.setdefault(value, (pid,) * steps)
 
-    # -- persistent cache plumbing -----------------------------------------
-    def _digest_for(self, key: Hashable) -> Optional[str]:
-        """The stable on-disk address of a query key (memoised)."""
-        if key in self._disk_digest:
-            return self._disk_digest[key]
-        from repro.parallel.fingerprint import UnstableKeyError, stable_digest
-
-        try:
-            digest: Optional[str] = stable_digest(key)
-        except UnstableKeyError:
-            digest = None
-        self._disk_digest[key] = digest
-        return digest
-
-    def _disk_load(
-        self, config: Configuration, pids: FrozenSet[int], key: Hashable
-    ) -> bool:
-        """Populate the memo caches from disk; True if an entry was used.
-
-        Loaded witnesses are replay-validated from *this* configuration
-        before anything is believed -- an entry that fails replay (a
-        permuted symmetry sibling, or a semantically stale file that
-        still passed its checksum) is ignored and recomputed.
-        """
-        if self.cache is None or key in self._disk_checked:
-            return False
-        self._disk_checked.add(key)
-        digest = self._digest_for(key)
-        if digest is None:
-            return False
-        body = self.cache.load(self._fingerprint, digest)
-        if body is None:
-            return False
-        from repro.parallel.cache import decode_entry
-
-        try:
-            witnesses, complete, negative = decode_entry(body)
-        except (KeyError, TypeError, ValueError):
-            return False
-        for value, schedule in witnesses.items():
-            if not self._witness_replays(config, schedule, value):
-                return False
-        known = self._witnesses.setdefault(key, {})
-        for value, schedule in witnesses.items():
-            known.setdefault(value, schedule)
-        if complete:
-            self._complete[key] = frozenset(witnesses)
-        if not self.strict and negative:
-            self._bounded_negative.setdefault(key, set()).update(negative)
-        return True
-
-    def _disk_store(self, key: Hashable) -> None:
-        """Snapshot the memo state for ``key`` to the on-disk cache."""
-        if self.cache is None:
-            return
-        digest = self._digest_for(key)
-        if digest is None:
-            return
-        from repro.parallel.cache import encode_entry
-
-        body = encode_entry(
-            self._witnesses.get(key, {}),
-            key in self._complete,
-            self._bounded_negative.get(key, set()) if not self.strict else (),
-        )
-        if body is None:
-            return
-        self.cache.store(self._fingerprint, digest, body)
-        self._bump("disk_stores")
-
     def _explore(
-        self,
-        config: Configuration,
-        pids: FrozenSet[int],
-        stop_when: Optional[FrozenSet[Hashable]],
-    ) -> bool:
-        """Answer ``stop_when`` for this key; True if a search ran."""
+        self, config: Configuration, pids: FrozenSet[int], value: Hashable
+    ) -> None:
+        """Search for a P-only execution deciding ``value``, solo probes first."""
         key = self._key(config, pids)
-        if self._disk_load(config, pids, key) and stop_when is not None:
-            known = set(self._witnesses.get(key, {}))
-            if key in self._complete or stop_when <= known:
-                self._bump("disk_hits")
-                return False
-            if not self.strict and stop_when <= (
-                known | self._bounded_negative.get(key, set())
-            ):
-                # Bounded mode: the cold run also answered "not found"
-                # for these values under the same budgets.
-                self._bump("disk_hits")
-                return False
         if self.solo_probe:
             self._solo_probe(config, pids)
-            if stop_when is not None and stop_when <= set(
-                self._witnesses.get(key, {})
-            ):
-                return False
+            if value in self._witnesses.get(key, {}):
+                return
         with get_tracer().span(
-            "oracle.explore",
-            pids=sorted(pids),
-            stop_when=None if stop_when is None else sorted(stop_when, key=repr),
+            "oracle.explore", pids=sorted(pids), stop_when=[value]
         ):
             result = self.explorer.explore(
-                config, pids, stop_when=stop_when
+                config, pids, stop_when=frozenset({value})
             )
         self._observe_exploration(result.visited)
         known = self._witnesses.setdefault(key, {})
@@ -347,7 +225,6 @@ class ValencyOracle:
             known.setdefault(value, witness)
         if result.complete:
             self._complete[key] = frozenset(result.decided)
-        return True
 
     # -- queries -----------------------------------------------------------------
     def can_decide(
@@ -371,16 +248,11 @@ class ValencyOracle:
             if value in self._bounded_negative.get(key, ()):
                 self._bump("cache_hits")
                 return False
-        explored = self._explore(config, pid_set, stop_when=frozenset({value}))
-        known = self._witnesses.get(key, {})
-        if value in known:
-            if explored:
-                self._disk_store(key)
+        self._explore(config, pid_set, value)
+        if value in self._witnesses.get(key, {}):
             return True
         if not self.strict:
             self._bounded_negative.setdefault(key, set()).add(value)
-        if explored:
-            self._disk_store(key)
         return False
 
     def witness(

@@ -39,11 +39,6 @@ class ExplorationLimitError(ReproError):
         super().__init__(message)
         self.visited = visited
 
-    def __reduce__(self):
-        # Default exception pickling only replays ``args`` -- crossing a
-        # worker-process boundary would drop ``visited``.
-        return (type(self), (self.args[0], self.visited))
-
 
 class BudgetExhausted(ReproError):
     """A guarded run spent its step budget or wall-clock deadline.
@@ -66,14 +61,6 @@ class BudgetExhausted(ReproError):
         self.elapsed = elapsed
         self.partial = partial
 
-    def __reduce__(self):
-        # Preserve the accounting (and any partial-progress report) when
-        # the exception is marshalled back from a worker process.
-        return (
-            type(self),
-            (self.args[0], self.spent_steps, self.elapsed, self.partial),
-        )
-
 
 class AdversaryError(ReproError):
     """A lower-bound construction could not complete.
@@ -90,12 +77,6 @@ class ViolationError(ReproError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-    def __reduce__(self):
-        # Keep the witness schedule across a worker-process boundary --
-        # the exit-code contract (exit 2 with a replayable witness)
-        # must hold no matter which process found the violation.
-        return (type(self), (self.args[0], self.witness))
 
 
 class CertificateError(ReproError):
@@ -119,10 +100,6 @@ class SchemaTooNew(JournalError):
         super().__init__(message)
         self.found = found
         self.supported = supported
-
-    def __reduce__(self):
-        # Keep both version numbers across a worker-process boundary.
-        return (type(self), (self.args[0], self.found, self.supported))
 
 
 class ResilienceError(ReproError):
@@ -152,17 +129,12 @@ class KernelSpillError(KernelError):
     """An on-disk frontier/visited segment is corrupt or unreadable.
 
     Carries the path of the quarantined segment so operators can inspect
-    the evidence (the file is renamed ``*.corrupt-N``, mirroring
-    :class:`repro.parallel.cache.ValencyCache` poisoning handling).
+    the evidence (the file is renamed ``*.corrupt-N``, never deleted).
     """
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(message)
         self.path = path
-
-    def __reduce__(self):
-        # Keep the quarantine path when crossing a worker boundary.
-        return (type(self), (self.args[0], self.path))
 
 
 class LintError(ReproError):

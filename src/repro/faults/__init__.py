@@ -23,7 +23,6 @@ from repro.faults.budget import Budget, BudgetExhausted
 from repro.faults.chaos import (
     ChaosScenarioRow,
     chaos_campaign,
-    corrupt_cache_entry,
     truncate_tail,
 )
 from repro.faults.crash import (
@@ -75,7 +74,6 @@ __all__ = [
     "all_crash_plans",
     "chaos_campaign",
     "check_consensus_crashes",
-    "corrupt_cache_entry",
     "corruption_campaign",
     "corruption_plan",
     "crash_campaign",

@@ -76,7 +76,6 @@ def run_adversary_guarded(
     strict: bool = False,
     verify: bool = True,
     spec: str = "",
-    cache_dir=None,
     checkpoint=None,
 ) -> AdversaryOutcome:
     """Run the Theorem 1 adversary to one of the three outcomes.
@@ -86,10 +85,6 @@ def run_adversary_guarded(
     answers are only reproducible under the parameters that produced
     them).  ``spec`` labels the partial-progress report so the CLI can
     refuse to resume a checkpoint against a different protocol.
-
-    ``cache_dir`` configures the oracle's persistent valency cache
-    (:mod:`repro.parallel`); it is transparent to the three-outcome
-    contract, because cached witnesses are replay-validated.
 
     The oracle's engine follows the system's type: a ``System`` runs on
     the compiled kernel of :mod:`repro.kernel`, an ``InterpretedSystem``
@@ -104,7 +99,7 @@ def run_adversary_guarded(
     """
     return _run_guarded(
         system, find_violation, budget, resume, max_configs, max_depth,
-        strict, verify, spec, cache_dir, checkpoint,
+        strict, verify, spec, checkpoint,
     )
 
 
@@ -118,7 +113,6 @@ def _run_guarded(
     strict: bool,
     verify: bool,
     spec: str,
-    cache_dir,
     checkpoint,
 ) -> AdversaryOutcome:
     """:func:`run_adversary_guarded`, with ``hunt`` as the search that
@@ -152,7 +146,6 @@ def _run_guarded(
             max_configs=max_configs,
             max_depth=max_depth,
             strict=strict,
-            cache_dir=cache_dir,
         )
     except BaseException:
         # The journal's writer lock must not outlive a failed setup, or
@@ -248,7 +241,6 @@ def run_adversary_auto(
     max_configs: int = 30_000,
     max_depth: int = 60,
     spec: str = "",
-    cache_dir=None,
 ) -> AdversaryOutcome:
     """Run the guarded adversary with escalating oracle budgets.
 
@@ -272,7 +264,7 @@ def run_adversary_auto(
         outcome = _run_guarded(
             system, hunt_once, budget=None, resume=None,
             max_configs=max_configs, max_depth=max_depth, strict=False,
-            verify=True, spec=spec, cache_dir=cache_dir, checkpoint=None,
+            verify=True, spec=spec, checkpoint=None,
         )
         if outcome.status != "budget":
             return outcome

@@ -15,8 +15,8 @@ automata.  This package industrializes the check into a corpus engine:
   budget-guarded engines, and any divergence in certificate bytes,
   witness replays, verdicts or exit codes is a finding;
 * :mod:`repro.fuzz.zoo` -- content-addressed persistence
-  (``stable_digest`` of the constructor recipe) of curated specimens
-  with provenance, replayed by CI on every run;
+  (``specimen_digest``, a sha-256 of the constructor recipe) of
+  curated specimens with provenance, replayed by CI on every run;
 * :mod:`repro.fuzz.campaign` -- the pipeline gluing them together
   under a deterministic seed and a step budget, with a byte-stable
   JSONL journal.

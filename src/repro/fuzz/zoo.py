@@ -2,10 +2,9 @@
 
 Every automaton the fuzzer ever finds interesting becomes a permanent
 regression test: a JSON file under ``corpus/zoo/`` holding the
-protocol's constructor recipe (the same recipe pickling and the cache
-fingerprint use) plus provenance (seed, generator version, why the
-specimen is in the zoo).  Files are content-addressed by
-:func:`repro.parallel.fingerprint.stable_digest` of the canonical
+protocol's constructor recipe (the same recipe pickling uses) plus
+provenance (seed, generator version, why the specimen is in the zoo).
+Files are content-addressed by :func:`specimen_digest` of the canonical
 recipe, so re-finding a known specimen is a no-op and two checkouts
 agree on every filename.
 
@@ -23,6 +22,7 @@ time rather than producing a file that cannot round-trip.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +30,6 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.model.table import TableProtocol
-from repro.parallel.fingerprint import stable_digest
 
 #: Bump together with any change to the canonical encoding below.
 ZOO_FORMAT_VERSION = 1
@@ -138,18 +137,43 @@ def protocol_from_dict(payload: Dict[str, Any]) -> TableProtocol:
         raise ZooError(f"malformed zoo specimen payload: {exc}") from exc
 
 
+def _feed(h, obj) -> None:
+    """Feed a tagged, length-prefixed encoding of ``obj`` into ``h``.
+
+    Only the shapes :func:`specimen_digest` hashes are encodable: ints,
+    strings and tuples of them.  Every file name in ``corpus/zoo`` was
+    derived from this exact encoding.
+    """
+    if isinstance(obj, tuple):
+        h.update(b"(%d:" % len(obj))
+        for item in obj:
+            _feed(h, item)
+        h.update(b")")
+    elif isinstance(obj, str):
+        data = obj.encode("utf-8")
+        h.update(b"s%d:" % len(data))
+        h.update(data)
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        h.update(b"i%d;" % obj)
+    else:
+        raise ZooError(f"cannot digest a {type(obj).__name__} value")
+
+
 def specimen_digest(protocol: TableProtocol) -> str:
     """Content address of a specimen: sha-256 of the canonical recipe."""
     recipe = protocol_to_dict(protocol)
-    return stable_digest(
+    h = hashlib.sha256()
+    _feed(
+        h,
         (
             ZOO_FORMAT_VERSION,
             tuple(
                 (key, json.dumps(recipe[key], sort_keys=True))
                 for key in sorted(recipe)
             ),
-        )
+        ),
     )
+    return h.hexdigest()
 
 
 def _canonical_bytes(document: Dict[str, Any]) -> bytes:

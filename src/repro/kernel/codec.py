@@ -13,10 +13,7 @@ dict lookups, so interning follows Python ``==``/``hash`` semantics
 exactly like :class:`~repro.model.configuration.Configuration` equality
 does.  In particular ``True`` and ``1`` (equal, equal hashes) intern to
 the *same* id -- the packed row and the object configuration can never
-disagree about which configurations are duplicates.  (Contrast
-``repro.parallel.fingerprint.stable_digest``, which deliberately
-encodes ``True`` and ``1`` differently for cache addressing; see the
-audit note in that module.)
+disagree about which configurations are duplicates.
 
 Why one big int instead of ``array('I')``: successor computation
 becomes a *single addition* of a precomputed delta (the compiler's

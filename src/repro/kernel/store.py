@@ -37,9 +37,8 @@ a temp name, fsynced, then ``os.replace``d into place (with a directory
 fsync), so a SIGKILL at any byte leaves either no segment or a fully
 valid one -- the checkpoint-resume machinery re-runs the exploration
 and never observes a torn segment.  A segment that fails validation on
-first map is renamed ``*.corrupt-N`` (evidence preserved, mirroring
-``ValencyCache`` poisoning) and :class:`~repro.errors.KernelSpillError`
-is raised.
+first map is renamed ``*.corrupt-N`` (evidence preserved) and
+:class:`~repro.errors.KernelSpillError` is raised.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class _Segment:
         return mm
 
     def _quarantine(self) -> str:
-        # Keep the evidence: rename, never delete (ValencyCache idiom).
+        # Keep the evidence: rename, never delete.
         for k in range(1000):
             target = f"{self.path}.corrupt-{k}"
             if not os.path.exists(target):

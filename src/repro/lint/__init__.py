@@ -9,8 +9,9 @@ Two layers, both reporting typed :class:`Diagnostic` values:
    footprint below n−1 registers means "cannot solve n-process
    consensus", reported before any adversary run.
 2. **Repository self-lint** (:mod:`repro.lint.selfcheck`): AST checks of
-   the codebase invariants (deterministic proof paths, picklable
-   errors, pinned trace schema), exposed as ``repro lint --self``.
+   the codebase invariants (deterministic proof paths, pinned trace
+   schema, kernel hot path, durable checkpoint writes), exposed as
+   ``repro lint --self``.
 """
 
 from repro.lint.cfg import (
@@ -35,9 +36,7 @@ from repro.lint.selfcheck import (
     check_checkpoint_fsync,
     check_determinism,
     check_kernel_hot_path,
-    check_picklable_errors,
     check_trace_schema,
-    check_worker_shared_state,
     lint_repository,
 )
 
@@ -51,9 +50,7 @@ __all__ = [
     "check_checkpoint_fsync",
     "check_determinism",
     "check_kernel_hot_path",
-    "check_picklable_errors",
     "check_trace_schema",
-    "check_worker_shared_state",
     "consensus_impossible",
     "crosscheck_certificate",
     "lint_protocol",

@@ -1,21 +1,15 @@
-"""Repository self-lint: the codebase invariants PRs 1-3 left implicit.
+"""Repository self-lint: codebase invariants enforced by AST checks.
 
-Three conventions hold this codebase's proofs together, and until now
-they were enforced only by review:
+Four conventions hold this codebase's proofs together:
 
 * **Determinism of proof paths.**  Everything under ``repro.core`` and
   ``repro.model`` must be a pure function of its inputs -- certificates
-  replay, journals resume, caches fingerprint.  An ambient clock or RNG
-  anywhere in there silently breaks all three.  The checker flags
+  replay and journals resume.  An ambient clock or RNG anywhere in
+  there silently breaks both.  The checker flags
   ``time``/``random`` imports in those packages; a legitimate use (e.g.
   accepting a *caller-provided* ``random.Random`` for test-schedule
   generation) is whitelisted by an explicit pragma comment on the
   import line: ``# lint: allow-nondeterminism (reason)``.
-* **Picklable errors.**  The exit-code contract survives worker
-  processes only because every error type crossing the boundary
-  pickles losslessly; an ``Exception`` subclass whose ``__init__``
-  takes payload beyond the message silently *drops* that payload under
-  default pickling unless it defines ``__reduce__``.
 * **Pinned trace schema.**  Journal consumers parse records by
   ``SCHEMA_VERSION``/``REQUIRED_KEYS``; those constants may only change
   together with a version bump, so the lint keeps an independent copy
@@ -25,13 +19,6 @@ they were enforced only by review:
   ``_hot_*`` functions doing only integer work; object-model calls and
   per-edge comprehensions in them are flagged
   (:func:`check_kernel_hot_path`).
-* **No ambient shared state in worker-facing code.**  Everything under
-  ``repro.parallel``, ``repro.resilience`` and ``repro.kernel`` runs in
-  (or feeds) worker processes; a module-level mutable container is
-  per-process state masquerading as shared state -- it silently forks at
-  ``spawn`` and the shards stop agreeing.  Deliberate per-process caches
-  opt in with ``# lint: allow-shared-state (reason)``
-  (:func:`check_worker_shared_state`).
 * **Durable checkpoint writes.**  Crash-tolerance rests on every
   checkpoint write being fsync-then-rename; a bare write-mode ``open``
   in ``repro.resilience`` that skips either half leaves torn files for
@@ -64,21 +51,8 @@ PROOF_PATHS = ("core", "model")
 #: The pragma that whitelists one import line, with a reason.
 PRAGMA = "lint: allow-nondeterminism"
 
-#: Packages whose modules run in (or feed) worker processes: ambient
-#: mutable state there forks at ``spawn`` and desynchronizes shards.
-WORKER_PATHS = ("parallel", "resilience", "kernel")
-
-#: The pragma that whitelists one deliberate per-process cache line.
-SHARED_STATE_PRAGMA = "lint: allow-shared-state"
-
 #: The pragma that whitelists one non-durable write line.
 FSYNC_PRAGMA = "lint: allow-unsynced-write"
-
-#: Constructors whose module-level call produces a mutable container.
-MUTABLE_CONSTRUCTORS = frozenset({
-    "dict", "list", "set", "bytearray",
-    "defaultdict", "deque", "OrderedDict", "Counter", "ChainMap",
-})
 
 #: Independent copy of the pinned trace schema (see module docstring).
 EXPECTED_SCHEMA_VERSION = 1
@@ -153,81 +127,14 @@ def check_determinism(root: Path) -> LintReport:
                     severity="error",
                     message=(
                         f"import of {', '.join(hits)} in a proof path: "
-                        "core/model code must be deterministic (replay, "
-                        "resume and cache fingerprints depend on it); if "
-                        "the use is caller-driven, annotate the line "
+                        "core/model code must be deterministic (replay "
+                        "and resume depend on it); if the use is "
+                        "caller-driven, annotate the line "
                         f"with `# {PRAGMA} (reason)`"
                     ),
                     path=_relative(path, root),
                     line=node.lineno,
                 ))
-    return report
-
-
-# -- picklable errors -----------------------------------------------------
-
-
-def _is_error_class(node: ast.ClassDef) -> bool:
-    """Heuristic: the class participates in the exception hierarchy."""
-    for base in node.bases:
-        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-        if name.endswith(("Error", "Exception")) or name in {
-            "ReproError",
-            "BudgetExhausted",
-        }:
-            return True
-    return node.name.endswith(("Error", "Exception"))
-
-
-def _init_has_payload(init: ast.FunctionDef) -> bool:
-    """True if ``__init__`` accepts state beyond (self, message)."""
-    args = init.args
-    positional = len(args.posonlyargs) + len(args.args)
-    return (
-        positional > 2
-        or bool(args.kwonlyargs)
-        or args.vararg is not None
-        or args.kwarg is not None
-    )
-
-
-def check_picklable_errors(root: Path) -> LintReport:
-    """Error classes with payload constructors must define ``__reduce__``.
-
-    Default exception pickling replays only ``args``; an error whose
-    constructor takes extra payload (a witness, a visited count) loses
-    it across a worker-process boundary unless ``__reduce__`` rebuilds
-    the full state.  The rule is syntactic on purpose: it runs without
-    importing (or instantiating) anything.
-    """
-    report = LintReport()
-    for path in _python_files(root):
-        tree, _ = _parse(path)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef) or not _is_error_class(node):
-                continue
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, ast.FunctionDef)
-            }
-            init = methods.get("__init__")
-            if init is None or not _init_has_payload(init):
-                continue
-            if "__reduce__" in methods or "__reduce_ex__" in methods:
-                continue
-            report.add(Diagnostic(
-                code="unpicklable-error",
-                severity="error",
-                message=(
-                    f"{node.name}.__init__ carries payload beyond the "
-                    "message but the class defines no __reduce__: the "
-                    "payload is dropped when the error crosses a worker "
-                    "process boundary (exit-code contract violation)"
-                ),
-                path=_relative(path, root),
-                line=node.lineno,
-            ))
     return report
 
 
@@ -338,85 +245,6 @@ def check_kernel_hot_path(root: Path) -> LintReport:
             ),
             path=_relative(kernel_dir / "explore.py", root),
         ))
-    return report
-
-
-# -- worker shared state --------------------------------------------------
-
-
-def _mutable_literal(value: Optional[ast.AST]) -> Optional[str]:
-    """Why ``value`` is a mutable container, or None if it isn't."""
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "a dict display"
-    if isinstance(value, (ast.List, ast.ListComp)):
-        return "a list display"
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return "a set display"
-    if isinstance(value, ast.Call):
-        name = _call_name(value)
-        if name in MUTABLE_CONSTRUCTORS:
-            return f"a {name}() call"
-    return None
-
-
-def _assign_targets(node: ast.AST) -> List[str]:
-    if isinstance(node, ast.Assign):
-        return [t.id for t in node.targets if isinstance(t, ast.Name)]
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [node.target.id]
-    return []
-
-
-def check_worker_shared_state(root: Path) -> LintReport:
-    """Module-level mutable containers in worker-facing packages.
-
-    ``spawn`` re-imports every module in every worker, so a module-level
-    dict/list/set is N independent copies pretending to be one -- reads
-    that happen to hit a warm copy agree, reads that don't silently
-    diverge.  The rule is syntactic and module-top-level only: mutable
-    state inside functions and classes has an owner; dunder assignments
-    (``__all__``) are declarative, not state.  A *deliberate*
-    per-process memo (e.g. the worker's system cache, rebuilt from the
-    task payload on miss) opts in with
-    ``# lint: allow-shared-state (reason)`` on the assignment line.
-    Trees without these packages (seeded lint fixtures) pass clean.
-    """
-    report = LintReport()
-    for package in WORKER_PATHS:
-        package_dir = root / package
-        if not package_dir.is_dir():
-            continue
-        for path in _python_files(package_dir):
-            tree, lines = _parse(path)
-            for node in tree.body:
-                targets = _assign_targets(node)
-                names = [
-                    name for name in targets
-                    if not (name.startswith("__") and name.endswith("__"))
-                ]
-                if not names:
-                    continue
-                value = node.value
-                why = _mutable_literal(value)
-                if why is None:
-                    continue
-                line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-                if SHARED_STATE_PRAGMA in line:
-                    continue
-                report.add(Diagnostic(
-                    code="worker-shared-state",
-                    severity="error",
-                    message=(
-                        f"module-level {', '.join(names)} is {why}: "
-                        "worker processes re-import this module, so the "
-                        "container forks into per-process copies that "
-                        "silently diverge; move it into an owning object, "
-                        "or mark a deliberate per-process cache with "
-                        f"`# {SHARED_STATE_PRAGMA} (reason)`"
-                    ),
-                    path=_relative(path, root),
-                    line=node.lineno,
-                ))
     return report
 
 
@@ -587,10 +415,8 @@ def lint_repository(root: Optional[Path] = None) -> LintReport:
     report = LintReport()
     with get_tracer().span("lint.self", root=str(target)):
         report.extend(check_determinism(target))
-        report.extend(check_picklable_errors(target))
         report.extend(check_trace_schema(target))
         report.extend(check_kernel_hot_path(target))
-        report.extend(check_worker_shared_state(target))
         report.extend(check_checkpoint_fsync(target))
     metrics = get_metrics()
     metrics.counter("lint.self_runs").inc()

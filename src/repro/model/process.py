@@ -60,10 +60,9 @@ def _recording_init(init):
     Protocols compiled from the instruction DSL hold closures and are
     not picklable structurally, but they *are* reproducible: the class
     plus the constructor arguments rebuild an equivalent instance; the
-    valency cache's fingerprints (:mod:`repro.parallel`) and the fuzz
-    zoo address protocols by this recipe.  Only the outermost call is
-    recorded, so ``super().__init__`` chains keep the most-derived
-    reconstruction.
+    fuzz zoo addresses protocols by this recipe.  Only the outermost
+    call is recorded, so ``super().__init__`` chains keep the
+    most-derived reconstruction.
     """
 
     @functools.wraps(init)

@@ -32,8 +32,7 @@ class BitTape:
     """A tape reading from explicit per-process bit lists, then ``default``.
 
     A class (not a closure) so systems carrying explicit tapes stay
-    picklable and have a stable identity for the valency cache's
-    fingerprints.
+    picklable.
     """
 
     def __init__(self, bits_per_pid: Sequence[Sequence[int]], default: int = 0):

@@ -12,8 +12,8 @@ id, a record ``type`` and a ``name``.  Four record types exist:
     (``"ok"`` or ``"error"``; errors add an ``error`` string).  Spans
     never suppress the exception that ended them.
 ``event``
-    A point-in-time fact (a cache quarantine, an exploration limit, a
-    run outcome) attached to the currently open span via ``parent``.
+    A point-in-time fact (a torn checkpoint tail, an exploration limit,
+    a run outcome) attached to the currently open span via ``parent``.
 ``metrics``
     A full :meth:`repro.obs.metrics.MetricsRegistry.snapshot` dump,
     conventionally the journal's final record so ``repro stats`` can

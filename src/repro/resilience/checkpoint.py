@@ -47,7 +47,7 @@ def atomic_write_bytes(path: os.PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically: temp + fsync + replace.
 
     A crash at any point leaves either the old content or the new,
-    never a torn mix -- the same discipline ``ValencyCache`` uses.
+    never a torn mix.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

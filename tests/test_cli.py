@@ -162,6 +162,21 @@ class TestBudgetAndResumeFlags:
         assert code == 3
         assert "budget (" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "specs",
+        [["rounds:3", "split-brain:3"], ["split-brain:3", "rounds:3"]],
+        ids=["budget-row-first", "violation-row-first"],
+    )
+    def test_audit_violation_outranks_budget_in_any_order(
+        self, specs, capsys
+    ):
+        code = main(
+            ["audit", *specs, "--budget", "5", "--max-configs", "2000"]
+        )
+        out = capsys.readouterr().out
+        assert code == 2, out
+        assert "budget (" in out and "agreement" in out
+
     def test_invalid_budget_rejected_cleanly(self, capsys):
         with pytest.raises(SystemExit):
             main(["adversary", "rounds:3", "--budget", "0"])

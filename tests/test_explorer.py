@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ExplorationLimitError
 from repro.analysis.explorer import Explorer
 from repro.analysis.report import format_table
-from repro.model.system import System, tape_from_bits
+from repro.model.system import InterpretedSystem, System, tape_from_bits
 from repro.protocols.consensus import CasConsensus, CommitAdoptRounds
 
 
@@ -74,6 +74,33 @@ class TestExplorer:
         explorer = Explorer(system)
         root = system.initial_configuration([0, 1])
         assert explorer.reachable_count(root, frozenset({0})) == 2
+
+
+class TestWitnessReplayRegression:
+    # Pinned: BFS with sorted-pid child order always discovers these
+    # exact lexicographically-least witness schedules for rounds:3 under
+    # the bounded budgets -- any engine change that reorders discovery
+    # breaks this test before it breaks a proof.
+    PINNED = {0: (0,) * 8, 1: (1,) * 8}
+    BOUNDED = dict(max_configs=20_000, max_depth=12, strict=False)
+
+    @pytest.mark.parametrize(
+        "system_class", [InterpretedSystem, System], ids=["interp", "compiled"]
+    )
+    def test_bfs_witnesses_are_pinned(self, system_class):
+        system = system_class(CommitAdoptRounds(3))
+        root = system.initial_configuration([0, 1, 0])
+        explorer = Explorer(system, **self.BOUNDED)
+        result = explorer.explore(root, frozenset({0, 1, 2}))
+        explorer.close()
+        assert result.decided == self.PINNED
+
+    def test_pinned_schedules_replay_in_a_fresh_system(self):
+        fresh = System(CommitAdoptRounds(3))
+        root = fresh.initial_configuration([0, 1, 0])
+        for value, schedule in self.PINNED.items():
+            final, _ = fresh.run(root, schedule)
+            assert value in fresh.decided_values(final)
 
 
 class TestCoinTapes:

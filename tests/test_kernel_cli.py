@@ -100,6 +100,9 @@ class TestOneDefault:
             ["audit", "rounds:2", "--kernel", "interp"],
             ["fuzz", "run", "--kernel", "interp"],
             ["fuzz", "zoo", "replay", "--kernel", "interp"],
+            ["adversary", "rounds:3", "--cache-dir", "d"],
+            ["audit", "rounds:2", "--cache-dir", "d"],
+            ["chaos", "tas:2", "--scenarios", "journal-truncation"],
         ],
     )
     def test_engine_flags_are_gone(self, argv, capsys):
@@ -107,6 +110,12 @@ class TestOneDefault:
             main(argv)
         assert exc.value.code == 2  # argparse usage error
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cache_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "stats"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "invalid choice: 'cache'" in capsys.readouterr().err
 
 
 class TestStatsKernelTable:

@@ -25,7 +25,7 @@ from repro.kernel.codec import FIELD_MASK, fnv1a64
 from repro.model.configuration import Configuration
 from repro.model.system import System
 
-from tests.test_parallel_differential import table_protocols
+from tests.strategies import table_protocols
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -1,8 +1,8 @@
 """Property-based differentials: the compiled kernel changes nothing.
 
-Hypothesis generates small arbitrary protocol automata (the same
-strategy as tests/test_parallel_differential.py) and checks that the
-compiled packed-integer kernel (:mod:`repro.kernel`) returns *exactly*
+Hypothesis generates small arbitrary protocol automata (the shared
+strategy in tests/strategies.py) and checks that the compiled
+packed-integer kernel (:mod:`repro.kernel`) returns *exactly*
 what the interpreted explorer returns: identical reachable-set
 fingerprints (decided values, witness schedules, visited counts,
 completeness flags), identical solo runs, identical oracle answers and
@@ -34,7 +34,7 @@ from repro.fuzz.oracle import input_vectors
 from repro.model.system import InterpretedSystem, System
 from repro.protocols.consensus import CommitAdoptRounds
 
-from tests.test_parallel_differential import (
+from tests.strategies import (
     DIFFERENTIAL,
     VALUES,
     fresh_system,

@@ -11,7 +11,6 @@ from repro.errors import LintError
 from repro.lint import (
     check_determinism,
     check_kernel_hot_path,
-    check_picklable_errors,
     check_trace_schema,
     lint_repository,
 )
@@ -88,37 +87,6 @@ class TestDeterminism:
         root = seed_tree(tmp_path, core="def broken(:\n")
         with pytest.raises(LintError):
             check_determinism(root)
-
-
-PAYLOAD_ERROR = """
-class WitnessError(Exception):
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
-"""
-
-PAYLOAD_ERROR_WITH_REDUCE = PAYLOAD_ERROR + """
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.witness))
-"""
-
-
-class TestPicklableErrors:
-    def test_payload_without_reduce_is_flagged(self, tmp_path):
-        root = seed_tree(tmp_path, extra={"errs.py": PAYLOAD_ERROR})
-        [diag] = check_picklable_errors(root).by_code("unpicklable-error")
-        assert "WitnessError" in diag.message
-
-    def test_reduce_silences_the_finding(self, tmp_path):
-        root = seed_tree(
-            tmp_path, extra={"errs.py": PAYLOAD_ERROR_WITH_REDUCE}
-        )
-        assert len(check_picklable_errors(root)) == 0
-
-    def test_message_only_errors_are_fine(self, tmp_path):
-        source = "class PlainError(Exception):\n    pass\n"
-        root = seed_tree(tmp_path, extra={"errs.py": source})
-        assert len(check_picklable_errors(root)) == 0
 
 
 class TestTraceSchema:
@@ -210,12 +178,6 @@ class TestKernelHotPath:
         assert len(check_kernel_hot_path(root)) == 0
 
 
-SHARED_STATE = "CACHE = {}\n"
-
-SHARED_STATE_PRAGMA_LINE = (
-    "CACHE = {}  # lint: allow-shared-state (per-process memo)\n"
-)
-
 UNSYNCED_WRITE = """
 def save(path, data):
     with open(path, "w") as handle:
@@ -239,69 +201,6 @@ def journal(path, line):
         handle.write(line)
         handle.flush()
 """
-
-
-class TestWorkerSharedState:
-    def seed_worker(self, tmp_path, source, package="parallel"):
-        root = seed_tree(tmp_path)
-        pkg = root / package
-        pkg.mkdir()
-        (pkg / "worker.py").write_text(source, encoding="utf-8")
-        return root
-
-    def test_module_level_dict_is_flagged(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        root = self.seed_worker(tmp_path, SHARED_STATE)
-        [diag] = check_worker_shared_state(root).by_code(
-            "worker-shared-state"
-        )
-        assert "per-process copies" in diag.message
-
-    def test_every_worker_package_is_audited(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        for package in ("parallel", "resilience", "kernel"):
-            root = self.seed_worker(
-                tmp_path / package, SHARED_STATE, package=package
-            )
-            assert check_worker_shared_state(root).by_code(
-                "worker-shared-state"
-            ), package
-
-    def test_constructor_calls_are_flagged_too(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        source = (
-            "from collections import defaultdict\n"
-            "MEMO = defaultdict(list)\n"
-        )
-        root = self.seed_worker(tmp_path, source)
-        assert check_worker_shared_state(root).by_code("worker-shared-state")
-
-    def test_pragma_whitelists_the_line(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        root = self.seed_worker(tmp_path, SHARED_STATE_PRAGMA_LINE)
-        assert len(check_worker_shared_state(root)) == 0
-
-    def test_dunders_and_immutables_are_fine(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        source = (
-            "__all__ = ['f']\n"
-            "LIMIT = 8\n"
-            "NAMES = ('a', 'b')\n"
-            "KINDS = frozenset({'x'})\n"
-            "def f():\n    cache = {}\n    return cache\n"
-        )
-        root = self.seed_worker(tmp_path, source)
-        assert len(check_worker_shared_state(root)) == 0
-
-    def test_tree_without_worker_packages_is_clean(self, tmp_path):
-        from repro.lint import check_worker_shared_state
-
-        assert len(check_worker_shared_state(seed_tree(tmp_path))) == 0
 
 
 class TestCheckpointFsync:
@@ -369,21 +268,13 @@ class TestCheckpointFsync:
 
 class TestLintRepository:
     def test_aggregates_all_checks_on_a_seeded_tree(self, tmp_path):
-        root = seed_tree(
-            tmp_path,
-            core="import time\n",
-            extra={"errs.py": PAYLOAD_ERROR},
-        )
-        parallel = root / "parallel"
-        parallel.mkdir()
-        (parallel / "worker.py").write_text(SHARED_STATE, encoding="utf-8")
+        root = seed_tree(tmp_path, core="import time\n")
         resilience = root / "resilience"
         resilience.mkdir()
         (resilience / "ckpt.py").write_text(UNSYNCED_WRITE, encoding="utf-8")
         report = lint_repository(root)
         assert set(report.codes) == {
-            "nondeterministic-import", "unpicklable-error",
-            "worker-shared-state", "checkpoint-unsynced-write",
+            "nondeterministic-import", "checkpoint-unsynced-write",
         }
         assert report.blocking
 

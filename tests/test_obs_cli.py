@@ -134,7 +134,6 @@ def test_stats_with_empty_metrics_prints_na_rates(tmp_path, capsys):
     out = capsys.readouterr().out
     for row in (
         "oracle memo hit rate",
-        "valency-cache hit rate",
         "frontier peak",
     ):
         line = next(l for l in out.splitlines() if l.startswith(row))
@@ -260,8 +259,3 @@ def test_schema_too_new_carries_both_versions():
         validate_record({"v": 7, "type": "event"}, line=3)
     assert excinfo.value.found == 7
     assert excinfo.value.supported == 1
-    # Survives the worker-boundary pickle round trip like every error.
-    import pickle
-
-    clone = pickle.loads(pickle.dumps(excinfo.value))
-    assert (clone.found, clone.supported) == (7, 1)

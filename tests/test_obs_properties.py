@@ -16,7 +16,7 @@ from repro.analysis.explorer import Explorer
 from repro.model.system import InterpretedSystem, System
 from repro.obs import MetricsRegistry, observe
 
-from tests.test_parallel_differential import table_protocols
+from tests.strategies import table_protocols
 
 PROPERTY = settings(
     max_examples=25,

@@ -358,25 +358,27 @@ class TestConcurrentOpenRefused:
         journal.close()
         assert load_checkpoint(path) is not None
 
-    def test_failed_oracle_setup_releases_the_lock(self, tmp_path):
-        # The oracle's cache fingerprint refuses a coin tape without a
-        # stable identity (a closure).  That failure comes after the
-        # journal took its lock, which must not outlive the call: the
-        # next run on the same path in this process has to succeed.
-        from repro.parallel import UnstableKeyError
+    def test_failed_oracle_setup_releases_the_lock(
+        self, tmp_path, monkeypatch
+    ):
+        # An oracle constructor that raises does so after the journal
+        # took its lock, which must not outlive the call: the next run
+        # on the same path in this process has to succeed.
+        import repro.faults.harness as harness
 
-        def closure_tape():
-            def tape(pid, index):
-                return 0
-            return tape
+        class SetupFailed(Exception):
+            pass
+
+        def failing_oracle(*args, **kwargs):
+            raise SetupFailed("oracle setup failed")
 
         path = tmp_path / "setup.ckpt"
-        with pytest.raises(UnstableKeyError):
-            run_adversary_guarded(
-                System(CommitAdoptRounds(3), tape=closure_tape()),
-                cache_dir=tmp_path / "cache",
-                checkpoint=str(path),
-            )
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "JournaledOracle", failing_oracle)
+            with pytest.raises(SetupFailed):
+                run_adversary_guarded(
+                    System(CommitAdoptRounds(3)), checkpoint=str(path)
+                )
         outcome = run_adversary_guarded(
             System(CommitAdoptRounds(3)), checkpoint=str(path)
         )
