@@ -140,6 +140,13 @@ def parse_protocol(spec: str):
         numbers = [int(part) for part in parts[1:]]
     except ValueError:
         raise SystemExit(f"bad protocol spec {spec!r}: sizes must be integers")
+    family_entry = _CONSENSUS_FAMILIES.get(family) or _OBJECT_FAMILIES.get(family)
+    if family_entry is not None:
+        usage = family_entry[1]
+        # Every family takes exactly the sizes its usage form names;
+        # bare ``tas`` is the one default (``tas:2``).
+        if len(numbers) != usage.count(":") and spec != "tas":
+            raise SystemExit(f"bad protocol spec {spec!r}: expected {usage}")
     try:
         if family == "rounds":
             return CommitAdoptRounds(numbers[0])
@@ -165,7 +172,7 @@ def parse_protocol(spec: str):
             return LossySharedCounter(numbers[0], numbers[1])
         if family == "snapshot":
             return SingleWriterSnapshot(numbers[0])
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"bad protocol spec {spec!r}: {exc}")
     raise SystemExit(
         f"unknown protocol family {family!r}; try `python -m repro protocols`"
@@ -628,8 +635,6 @@ def cmd_stats(args) -> int:
         ["mean batch size",
          "n/a" if not batch_count
          else f"{batches.get('sum', 0) / batch_count:.1f}"],
-        ["spill segments written", counters.get("kernel.spill.segments", 0)],
-        ["rows spilled", counters.get("kernel.spill.rows", 0)],
         ["interpreter fallbacks", counters.get("kernel.fallbacks", 0)],
     ]
     reasons = sorted(

@@ -117,24 +117,12 @@ class KernelError(ReproError):
     """The compiled exploration kernel hit an internal invariant failure.
 
     Raised when a packed row cannot represent a configuration (field
-    overflow), or a spilled segment fails its checksum on reload.  The
-    kernel never silently degrades mid-exploration -- budget ticks have
-    already been billed, so a fallback would double-bill them; instead
-    the error surfaces and the caller may retry on an
+    overflow, or a value outside a narrowed field's static universe).
+    The kernel never silently degrades mid-exploration -- budget ticks
+    have already been billed, so a fallback would double-bill them;
+    instead the error surfaces and the caller may retry on an
     ``InterpretedSystem``.
     """
-
-
-class KernelSpillError(KernelError):
-    """An on-disk frontier/visited segment is corrupt or unreadable.
-
-    Carries the path of the quarantined segment so operators can inspect
-    the evidence (the file is renamed ``*.corrupt-N``, never deleted).
-    """
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(message)
-        self.path = path
 
 
 class LintError(ReproError):

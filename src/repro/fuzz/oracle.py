@@ -132,10 +132,10 @@ def _sabotage_fingerprint(fingerprint: Dict[str, Any], mode: str) -> None:
                 decided.pop()
                 entry["visited"] = max(0, entry["visited"] - 1)
         elif mode == "collide-packed-row":
-            # The lie an undetected packed-fingerprint collision would
-            # tell: two distinct configurations merged into one visited
-            # row.  Catching this proves the oracle guards the kernel's
-            # fingerprint-indexed spill dedup, not just decision sets.
+            # The lie a lowering or interning bug would tell: two
+            # distinct configurations merged into one visited row.
+            # Catching this proves the oracle guards the kernel's row
+            # dedup, not just decision sets.
             entry["visited"] = max(0, entry["visited"] - 1)
         else:
             raise ValueError(f"unknown sabotage mode {mode!r}")
@@ -180,8 +180,8 @@ def engine_fingerprint(
             "truncated": bool(result.truncated),
             "witnesses_replay": bool(result.witnesses_replay(replay)),
         })
-    # Always release the engine: the compiled kernel's spill segments /
-    # mmap handles are dropped eagerly.
+    # Always release the engine: the compiled kernel's tables and
+    # visited rows are dropped eagerly.
     explorer.close()
     fingerprint = {"engine": spec.name, "explorations": explorations}
     if spec.sabotage:

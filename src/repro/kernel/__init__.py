@@ -9,8 +9,7 @@ kernel* over packed integers:
 
 * :mod:`repro.kernel.codec` -- one Python big-int per configuration
   (32-bit fields: process states, then the register file, then coin
-  counters), FNV-1a u64 structural fingerprints, and a fixed-width
-  byte serialisation so visited rows live in one contiguous block.
+  counters), with states and register values interned to field ids.
 * :mod:`repro.kernel.compiler` -- lowers ``TableProtocol`` and DSL
   programs to per-``(pid, state)`` effect tables mapping the current
   register field to an integer *delta*; a successor is one big-int
@@ -22,9 +21,9 @@ kernel* over packed integers:
   frontiers per call, bit-identical to ``Explorer.explore`` (same
   budget ticks, same early exits, same metrics), and the solo runs of
   ``Explorer.solo`` over the same plan and effect tables.
-* :mod:`repro.kernel.store` -- the out-of-core visited store: rows
-  spill to checksummed mmap'd segments past a RAM threshold
-  (``REPRO_KERNEL_SPILL_THRESHOLD``), with quarantine-on-corruption.
+* :mod:`repro.kernel.store` -- the visited arena: each process set's
+  distinct rows in one list under dense ids, plus a ``row -> id`` dict
+  for exact-canonical protocols.
 
 Selection is by the type of the system: ``Explorer`` runs every exact
 :class:`~repro.model.system.System` on the kernel, so the library and
@@ -34,17 +33,15 @@ differential tests build, and faulty-memory wrappers -- with the reason
 recorded in ``kernel.fallback.*`` counters and a trace event.
 """
 
-from repro.kernel.codec import PackedCodec, row_fingerprint
+from repro.kernel.codec import PackedCodec
 from repro.kernel.compiler import CompiledProgram, kernel_unsupported_reason
 from repro.kernel.explore import KernelExplorer
-from repro.kernel.store import DEFAULT_SPILL_THRESHOLD, RowStore
+from repro.kernel.store import RowStore
 
 __all__ = [
     "PackedCodec",
-    "row_fingerprint",
     "CompiledProgram",
     "kernel_unsupported_reason",
     "KernelExplorer",
     "RowStore",
-    "DEFAULT_SPILL_THRESHOLD",
 ]

@@ -18,18 +18,9 @@ disagree about which configurations are duplicates.
 Why one big int instead of ``array('I')``: successor computation
 becomes a *single addition* of a precomputed delta (the compiler's
 effect tables store ``(new_state - state) << state_shift +
-(new_value - value) << value_shift``), dedup is one dict probe on an
-int, and the fixed-width little-endian byte image
-(:meth:`PackedCodec.row_bytes`) is the contiguous block the spill
-store appends to its mmap'd segments.  Field extraction is a shift and
-a mask; no per-configuration object allocation happens anywhere on the
-hot path.
-
-Structural fingerprints are FNV-1a over the fixed-width byte image,
-masked to 64 bits: process-stable (no ``PYTHONHASHSEED`` dependence),
-cheap, and injective-checked -- the store verifies fingerprint matches
-by fetching the candidate row, so a collision costs a probe, never a
-wrong answer.
+(new_value - value) << value_shift``), and dedup is one dict probe on
+an int.  Field extraction is a shift and a mask; no per-configuration
+object allocation happens anywhere on the hot path.
 """
 
 from __future__ import annotations
@@ -41,29 +32,6 @@ from repro.model.configuration import Configuration
 
 FIELD_BITS = 32
 FIELD_MASK = (1 << FIELD_BITS) - 1
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a over ``data``, masked to 64 bits."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
-
-
-def row_fingerprint(row: int, width_bytes: int) -> int:
-    """u64 structural fingerprint of a packed row.
-
-    Defined over the fixed-width little-endian byte image so the same
-    value is computed whether the row lives in RAM or was reloaded from
-    a spilled segment, and is identical across process boundaries.
-    """
-    return fnv1a64(row.to_bytes(width_bytes, "little"))
-
 
 #: Field widths the codec may pack with.  32 is the compatibility
 #: default; 8/16 are chosen by the compiler when the abstract
@@ -213,14 +181,3 @@ class PackedCodec:
         else:
             coins = (0,) * self.n
         return Configuration(states=states, memory=memory, coins=coins)
-
-    # -- bytes / fingerprints -----------------------------------------
-
-    def row_bytes(self, row: int) -> bytes:
-        return row.to_bytes(self.width_bytes, "little")
-
-    def row_from_bytes(self, blob: bytes) -> int:
-        return int.from_bytes(blob, "little")
-
-    def fingerprint(self, row: int) -> int:
-        return row_fingerprint(row, self.width_bytes)

@@ -17,7 +17,7 @@ addition.  The compiler builds, per ``(pid, state-id)``, a *plan*::
 is enumerated from the rule/transition/decision tables in a
 deterministic (repr-sorted) order and every table is pre-populated, so
 the hot loop runs with zero misses and the codec's id assignment -- and
-therefore every row fingerprint -- is process-stable.  Any other
+therefore every packed row -- is process-stable.  Any other
 protocol (DSL programs such as ``CommitAdoptRounds``, randomized
 protocols with coin flips) lowers *dynamically*: plans and deltas are
 discovered through the miss handlers.  Both paths rely only on the
@@ -219,7 +219,7 @@ class CompiledProgram:
         The interpreter's fixpoint (``self.reach``) already enumerated
         every abstractly reachable state and every value each register
         can hold; interning exactly those — in repr-sorted order, so id
-        assignment (hence fingerprints) is process-stable — is what lets
+        assignment (hence every packed row) is process-stable — is what lets
         the codec pack narrower fields.  Effect tables are populated
         only for ``(plan, cur)`` pairs whose value is abstractly
         possible *for that plan's register*: any other pair can only be

@@ -12,9 +12,9 @@ Layout of one exploration:
   explorations so canonicalisation and interning amortise over an
   oracle's queries) assigns a dense global id (``gcid``) to every
   distinct canonical configuration and stores its representative
-  packed row in a spillable :class:`~repro.kernel.store.RowStore`.
-* The *frontier log* is a second ``RowStore`` holding one 112-bit
-  record per BFS discovery::
+  packed row in a :class:`~repro.kernel.store.RowStore`.
+* The *frontier log* is a list holding one 112-bit int record per BFS
+  discovery::
 
       gcid:32 | parent_lid+1:32 | depth:32 | via_pid:16
 
@@ -22,9 +22,7 @@ Layout of one exploration:
   moment of first discovery, the log *is* the queue: expanding record
   ``qi`` while appending new records at the end replays exactly the
   interpreted FIFO order, and the ``parent_lid`` chain doubles as the
-  parent-pointer map for witness reconstruction.  Both stores spill
-  past the RAM threshold, so a deep exploration's resident footprint
-  is its dedup index plus the page cache.
+  parent-pointer map for witness reconstruction.
 
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
@@ -38,7 +36,7 @@ valency oracle's solo probes) walk the same plan and effect tables in
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Optional, Tuple
+from typing import FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.analysis.explorer import BRANCHING_EDGES, ExplorationResult
 from repro.errors import ExplorationLimitError
@@ -49,10 +47,6 @@ from repro.model.configuration import Configuration
 from repro.obs.runtime import get_metrics, get_tracer
 
 _MISS = object()
-
-#: Frontier log record width: gcid, parent+1, depth (32 bits each)
-#: and via pid (16 bits).
-_LOG_WIDTH = 14
 
 
 class _Space:
@@ -72,12 +66,11 @@ class _Space:
         self.program = program
         self.pid_set = pid_set
         self.fragments: dict = {}
-        codec = program.codec
         if program.exact_canonical:
             # Packing is injective w.r.t. configuration equality and the
             # default canonical key is the configuration itself, so rows
             # dedup directly.
-            self.store = RowStore(codec.width_bytes, indexed=True, label="visited")
+            self.store = RowStore(indexed=True)
             self.alias = None
             self.key_to_cid = None
             self.cid_keys = None
@@ -85,7 +78,7 @@ class _Space:
             # Overridden canonical hooks (e.g. CommitAdoptRounds' round
             # abstraction): novel rows canonicalise through the protocol
             # once, then alias to their class id forever.
-            self.store = RowStore(codec.width_bytes, indexed=False, label="visited")
+            self.store = RowStore(indexed=False)
             self.alias = {}
             self.key_to_cid = {}
             self.cid_keys = []
@@ -111,17 +104,12 @@ class _Space:
         self.alias[row] = cid
         return cid
 
-    def close(self) -> None:
-        self.store.close()
-
 
 def _hot_expand(
     log,
     row_get,
     lookup,
     admit,
-    store,
-    exact,
     program,
     plans,
     plan_miss,
@@ -150,7 +138,6 @@ def _hot_expand(
     committed).  Order of operations per popped record and per pid
     mirrors ``Explorer.explore`` statement for statement.
     """
-    log_get = log.get
     log_append = log.append
     # Two masks: the frontier-log record layout is fixed at 32-bit
     # fields regardless of codec narrowing; packed-row fields use the
@@ -160,7 +147,7 @@ def _hot_expand(
     qi = 0
     total = 1
     while qi < total:
-        entry = log_get(qi)
+        entry = log[qi]
         qi += 1
         if budget is not None:
             budget.tick()
@@ -195,8 +182,6 @@ def _hot_expand(
             scid = lookup(succ)
             if scid is None:
                 scid = admit(succ)
-                if exact and store.spilling:
-                    lookup = store.find
             if scid in parents:
                 ctr[1] += 1
                 continue
@@ -265,16 +250,16 @@ def _hot_solo(
     return limit, None
 
 
-def _schedule_of(log: RowStore, lid: int) -> Tuple[int, ...]:
+def _schedule_of(log: List[int], lid: int) -> Tuple[int, ...]:
     """Read the root-to-``lid`` pid schedule off the frontier log."""
     steps = []
-    entry = log.get(lid)
+    entry = log[lid]
     while True:
         parent1 = (entry >> 32) & FIELD_MASK
         if parent1 == 0:
             break
         steps.append((entry >> 96) & 0xFFFF)
-        entry = log.get(parent1 - 1)
+        entry = log[parent1 - 1]
     steps.reverse()
     return tuple(steps)
 
@@ -304,8 +289,6 @@ class KernelExplorer:
         return sp
 
     def close(self) -> None:
-        for sp in self._spaces.values():
-            sp.close()
         self._spaces.clear()
         self.program.close()
 
@@ -354,11 +337,9 @@ class KernelExplorer:
         space = self.space(pid_set)
         store = space.store
         if program.exact_canonical:
-            exact = True
             admit = store.append
-            lookup = store.find if store.spilling else store._index.get
+            lookup = store.find
         else:
-            exact = False
             admit = space.resolve
             lookup = space.alias.get
 
@@ -366,14 +347,8 @@ class KernelExplorer:
         gcid0 = lookup(row0)
         if gcid0 is None:
             gcid0 = admit(row0)
-            if exact and store.spilling:
-                # The root admit may have crossed the spill threshold
-                # (persistent space warmed by earlier explorations).
-                lookup = store.find
         parents = {gcid0: 0}
-        log = RowStore(
-            _LOG_WIDTH, indexed=False, threshold=store.threshold, label="frontier"
-        )
+        log = [gcid0]  # root record: parent1=0, depth=0
         found: dict = {}
         sorted_pids = sorted(pid_set)
         all_pids = tuple(range(program.n))
@@ -414,7 +389,6 @@ class KernelExplorer:
             return result
 
         try:
-            log.append(gcid0)  # root record: parent1=0, depth=0
             if stop_when is not None and stop_when <= found.keys():
                 return finish("stopped")
             outcome = _hot_expand(
@@ -422,8 +396,6 @@ class KernelExplorer:
                 store.get,
                 lookup,
                 admit,
-                store,
-                exact,
                 program,
                 program.plans,
                 program.plan_miss,
@@ -455,4 +427,3 @@ class KernelExplorer:
             dedup_c.inc(ctr[1])
             for branch in branch_counts:
                 branching_h.observe_many(branch, branch_counts[branch])
-            log.close()

@@ -19,9 +19,6 @@ chosen tape, so executions stay replay-deterministic.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-from repro.model.configuration import Configuration
 from repro.model.program import ProgramBuilder
 from repro.model.registers import register
 from repro.protocols.consensus.commit_adopt import (
@@ -102,9 +99,3 @@ class RandomizedRounds(CommitAdoptRounds):
         super().__init__(n, name="randomized-rounds")
         program = _build_coin_program()
         self._programs = tuple([program] * n)
-
-    def canonical_key(self, config: Configuration) -> Hashable:
-        key = super().canonical_key(config)
-        # Coin positions already live in config.coins, which the parent
-        # includes; nothing more to abstract.
-        return ("randomized",) + key[1:] if key[0] == "ca-rounds" else key

@@ -23,8 +23,18 @@ class TestParseProtocol:
     def test_bad_sizes_exit(self):
         with pytest.raises(SystemExit):
             parse_protocol("rounds:many")
-        with pytest.raises(SystemExit):
-            parse_protocol("shared:3")  # missing k
+        # Too many or too few sizes name the family's usage form.
+        for spec, usage in (
+            ("shared:3", "shared:n:k"),
+            ("rounds:3:7", "rounds:n"),
+            ("kset:4:2:1", "kset:n:k"),
+            ("kset:4", "kset:n:k"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parse_protocol(spec)
+            assert f"expected {usage}" in str(excinfo.value), spec
+        # Bare ``tas`` stays the 2-process default.
+        assert parse_protocol("tas").n == 2
 
 
 class TestCommands:

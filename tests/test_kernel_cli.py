@@ -158,8 +158,6 @@ class TestStatsKernelTable:
         for row in (
             "programs compiled",
             "batch explorations",
-            "spill segments written",
-            "rows spilled",
             "interpreter fallbacks",
         ):
             line = next(l for l in out.splitlines() if l.startswith(row))

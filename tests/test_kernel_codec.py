@@ -1,18 +1,11 @@
-"""Packed configuration codec: round trips, fingerprints, hash equality.
+"""Packed configuration codec: round trips, hash equality, errors.
 
 The codec's contract is *injectivity up to configuration equality*:
 ``pack`` maps ``==``-equal configurations to the same row, distinct
-configurations to distinct rows, and ``unpack(pack(c)) == c``.  The u64
-structural fingerprint must be a pure function of the row bytes --
-stable across process boundaries (no ``PYTHONHASHSEED`` dependence) and
-across spill/reload, because the out-of-core store indexes spilled
-segments by it.
+configurations to distinct rows, and ``unpack(pack(c)) == c``.  The
+visited arena dedups rows directly, so a violation would merge or split
+states behind the interpreter's back.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 from hypothesis import given
 import hypothesis.strategies as st
@@ -20,14 +13,12 @@ import hypothesis.strategies as st
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import PackedCodec, row_fingerprint
-from repro.kernel.codec import FIELD_MASK, fnv1a64
+from repro.kernel import PackedCodec
+from repro.kernel.codec import FIELD_MASK
 from repro.model.configuration import Configuration
 from repro.model.system import System
 
 from tests.strategies import table_protocols
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_codec(n=2, registers=2, track_coins=False):
@@ -71,16 +62,6 @@ class TestRoundTrip:
             protocol.n, protocol.num_objects, track_coins=False
         )
         assert codec.unpack(codec.pack(config)) == config
-
-    def test_row_bytes_round_trip(self):
-        codec = make_codec()
-        config = Configuration(
-            states=(1, 2), memory=(0, 1), coins=(0, 0)
-        )
-        row = codec.pack(config)
-        data = codec.row_bytes(row)
-        assert len(data) == codec.width_bytes
-        assert codec.row_from_bytes(data) == row
 
     def test_equal_configurations_pack_identically(self):
         """Satellite-6 regression: values equal under ``==`` (True/1,
@@ -126,35 +107,3 @@ class TestErrors:
         with pytest.raises(KernelError):
             codec.pack(config)
 
-
-class TestFingerprint:
-    def test_fingerprint_is_pure_function_of_row(self):
-        codec = make_codec()
-        config = Configuration(
-            states=(2, 1), memory=(1, 0), coins=(0, 0)
-        )
-        row = codec.pack(config)
-        assert codec.fingerprint(row) == row_fingerprint(
-            row, codec.width_bytes
-        )
-        assert codec.fingerprint(row) == fnv1a64(codec.row_bytes(row))
-
-    def test_fingerprint_stable_across_process_boundary(self):
-        """Spilled segments are fingerprint-indexed; a hash-seed
-        dependence would corrupt every reload.  Recompute in a child
-        interpreter with a different PYTHONHASHSEED."""
-        rows = [0, 1, (1 << 32) | 7, (1 << 96) + 12345]
-        width = 16
-        expected = [row_fingerprint(row, width) for row in rows]
-        script = (
-            "from repro.kernel import row_fingerprint\n"
-            f"print([row_fingerprint(r, {width}) for r in {rows!r}])\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["PYTHONHASHSEED"] = "12345"
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert eval(out.stdout.strip()) == expected

@@ -7,8 +7,7 @@ what the interpreted explorer returns: identical reachable-set
 fingerprints (decided values, witness schedules, visited counts,
 completeness flags), identical solo runs, identical oracle answers and
 witnesses, identical certificates, identical guarded exit codes -- on a
-fresh and on a warmed kernel, and with the out-of-core spill forced
-down to a one-configuration threshold.  The interpreter legs run on
+fresh and on a warmed kernel.  The interpreter legs run on
 :class:`InterpretedSystem`, the kernel legs on ``System``: the engine
 follows the system's type.  Any divergence is a soundness bug in the
 lowering, found here on a five-state automaton instead of inside a
@@ -16,7 +15,6 @@ lemma driver.
 """
 
 import json
-import os
 
 from hypothesis import given
 import hypothesis.strategies as st
@@ -41,9 +39,6 @@ from tests.strategies import (
     table_protocols,
 )
 
-SPILL_ENV = "REPRO_KERNEL_SPILL_THRESHOLD"
-FP_ENV = "REPRO_KERNEL_FP_BITS"
-
 
 def result_fingerprint(result):
     """Everything the exploration contract promises, as one value."""
@@ -65,23 +60,6 @@ def explore_with(protocol, system_class, *, inputs, stop_when=None,
     )
     explorer.close()
     return result
-
-
-def forced_spill(body):
-    """Run ``body()`` with the spill threshold forced to 1 configuration
-    and the fingerprint index narrowed to 8 bits (collision-heavy, so
-    the fetch-verify path is actually exercised)."""
-    saved = {name: os.environ.get(name) for name in (SPILL_ENV, FP_ENV)}
-    os.environ[SPILL_ENV] = "1"
-    os.environ[FP_ENV] = "8"
-    try:
-        return body()
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
@@ -122,18 +100,6 @@ def test_compiled_warm_space_is_bit_identical(protocol, inputs_seed):
     explorer.close()
     assert result_fingerprint(first) == result_fingerprint(interp)
     assert result_fingerprint(second) == result_fingerprint(interp)
-
-
-@given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
-@DIFFERENTIAL
-def test_compiled_forced_spill_is_bit_identical(protocol, inputs_seed):
-    inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
-    interp = explore_with(protocol, InterpretedSystem, inputs=inputs)
-    compiled = forced_spill(
-        lambda: explore_with(protocol, System, inputs=inputs)
-    )
-    assert result_fingerprint(compiled) == result_fingerprint(interp)
-    assert compiled.witnesses_replay(fresh_system(protocol))
 
 
 def solo_runs(system, limit):
@@ -250,14 +216,6 @@ def test_rounds_certificate_is_byte_identical():
     """The real protocol family: full adversary, serialized bytes."""
     interp = space_lower_bound(InterpretedSystem(CommitAdoptRounds(3)))
     compiled = space_lower_bound(System(CommitAdoptRounds(3)))
-    assert to_json(compiled) == to_json(interp)
-
-
-def test_rounds_certificate_byte_identical_under_forced_spill():
-    interp = space_lower_bound(InterpretedSystem(CommitAdoptRounds(3)))
-    compiled = forced_spill(
-        lambda: space_lower_bound(System(CommitAdoptRounds(3)))
-    )
     assert to_json(compiled) == to_json(interp)
 
 

@@ -1,44 +1,16 @@
-"""Out-of-core RowStore: spill, reload, collisions, quarantine, fallback,
-and the release of a closed kernel.
+"""The visited arena, kernel fallback recording, and the release of a
+closed kernel.
 
-The spill machinery is the one part of the compiled kernel with real
-failure modes (torn writes, bit rot, fingerprint collisions), so it
-gets direct unit coverage here on top of the end-to-end differentials
-in tests/test_kernel_differential.py.
+``RowStore`` is an append-only list of packed rows under dense ids,
+with a ``row -> id`` index when ``indexed``; the end-to-end
+differentials in tests/test_kernel_differential.py check what the
+explorer builds on it.
 """
 
 import gc
-import os
 import weakref
 
-import pytest
-
-from repro.errors import KernelSpillError
-from repro.kernel.store import (
-    HEADER_SIZE,
-    MAX_SEGMENT_ROWS,
-    FP_BITS_ENV,
-    SPILL_THRESHOLD_ENV,
-    RowStore,
-    fingerprint_mask,
-    spill_threshold,
-)
-
-WIDTH = 8
-
-
-@pytest.fixture
-def scoped_env(monkeypatch):
-    """Let a test pin the spill knobs without leaking to the session."""
-    def set_knobs(threshold=None, fp_bits=None):
-        for env, value in (
-            (SPILL_THRESHOLD_ENV, threshold), (FP_ENV := FP_BITS_ENV, fp_bits)
-        ):
-            if value is None:
-                monkeypatch.delenv(env, raising=False)
-            else:
-                monkeypatch.setenv(env, str(value))
-    return set_knobs
+from repro.kernel.store import RowStore
 
 
 def filled(store, count):
@@ -50,165 +22,20 @@ def filled(store, count):
 
 class TestAppendGet:
     def test_ram_mode_identity(self):
-        store = RowStore(WIDTH, threshold=1_000)
+        store = RowStore(indexed=True)
         rows = filled(store, 50)
-        assert not store.spilling
         assert len(store) == 50
         for rid, row in enumerate(rows):
             assert store.get(rid) == row
             assert store.find(row) == rid
         assert store.find(12345) is None
-        store.close()
-
-    def test_spill_preserves_every_row_byte_identically(self, tmp_path):
-        store = RowStore(WIDTH, threshold=4, directory=str(tmp_path))
-        rows = filled(store, 64)
-        assert store.spilling
-        assert store.segments > 0
-        assert store.spilled_rows > 0
-        for rid, row in enumerate(rows):
-            assert store.get(rid) == row
-        store.close()
-
-    def test_rows_survive_mmap_reload(self, tmp_path):
-        """Close the mmaps, reopen lazily: the bytes are the segment's."""
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        rows = filled(store, 16)
-        before = [store.get(rid) for rid in range(16)]
-        for seg in store._segments:
-            seg.close()
-        after = [store.get(rid) for rid in range(16)]
-        assert after == before == rows
-        store.close()
 
     def test_unindexed_store_is_pure_log(self):
-        store = RowStore(WIDTH, indexed=False, threshold=3)
+        store = RowStore(indexed=False)
         rows = filled(store, 10)
-        assert store.spilling
+        assert len(store) == 10
         assert [store.get(rid) for rid in range(10)] == rows
-        store.close()
-
-    def test_block_capped_at_max_segment_rows(self):
-        store = RowStore(WIDTH, threshold=10**9)
-        assert store.block == MAX_SEGMENT_ROWS
-        store.close()
-
-
-class TestFindAfterSpill:
-    def test_find_through_fingerprint_map(self, tmp_path):
-        store = RowStore(WIDTH, threshold=4, directory=str(tmp_path))
-        rows = filled(store, 40)
-        for rid, row in enumerate(rows):
-            assert store.find(row) == rid
-        assert store.find(999_999_999) is None
-        store.close()
-
-    def test_forced_collisions_fetch_verify(self, scoped_env, tmp_path):
-        """8-bit fingerprints collide constantly; every hit must be
-        verified against the actual row bytes, so a collision costs a
-        read and never a wrong id."""
-        scoped_env(fp_bits=2)
-        store = RowStore(WIDTH, threshold=4, directory=str(tmp_path))
-        assert store._fp_mask == 0b11
-        rows = filled(store, 64)
-        for rid, row in enumerate(rows):
-            assert store.find(row) == rid
-        for absent in (7, 11, 13, (1 << 40) + 3):
-            assert store.find(absent) is None
-        store.close()
-
-    def test_rows_appended_after_spill_are_indexed(self, tmp_path):
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        filled(store, 2)
-        assert not store.spilling
-        store.append(0xDEAD)
-        assert store.spilling
-        store.append(0xBEEF)
-        assert store.find(0xDEAD) == 2
-        assert store.find(0xBEEF) == 3
-        store.close()
-
-
-class TestSegments:
-    def test_segment_paths_exist_and_are_labelled(self, tmp_path):
-        store = RowStore(
-            WIDTH, threshold=4, directory=str(tmp_path), label="visited"
-        )
-        filled(store, 20)
-        paths = store.segment_paths()
-        assert paths
-        for path in paths:
-            assert os.path.exists(path)
-            assert "visited-" in os.path.basename(path)
-        store.close()
-
-    def test_corrupted_segment_is_quarantined(self, tmp_path):
-        """Flip payload bytes on disk: the checksum catches it, the
-        evidence is renamed *.corrupt-0, and KernelSpillError is raised
-        instead of a silently wrong row."""
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        filled(store, 8)
-        victim = store.segment_paths()[0]
-        data = bytearray(open(victim, "rb").read())
-        data[HEADER_SIZE] ^= 0xFF
-        open(victim, "wb").write(bytes(data))
-        with pytest.raises(KernelSpillError) as excinfo:
-            store.get(0)
-        assert "quarantined" in str(excinfo.value)
-        assert os.path.exists(victim + ".corrupt-0")
-        assert not os.path.exists(victim)
-        store.close()
-
-    def test_truncated_segment_is_quarantined(self, tmp_path):
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        filled(store, 8)
-        victim = store.segment_paths()[0]
-        data = open(victim, "rb").read()
-        open(victim, "wb").write(data[: HEADER_SIZE - 2])
-        with pytest.raises(KernelSpillError):
-            store.get(0)
-        assert os.path.exists(victim + ".corrupt-0")
-        store.close()
-
-    def test_vanished_segment_raises(self, tmp_path):
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        filled(store, 8)
-        os.unlink(store.segment_paths()[0])
-        with pytest.raises(KernelSpillError):
-            store.get(0)
-        store.close()
-
-    def test_close_removes_owned_spill_directory(self):
-        store = RowStore(WIDTH, threshold=2)
-        filled(store, 8)
-        directory = store._dir
-        assert directory is not None and os.path.isdir(directory)
-        store.close()
-        assert not os.path.exists(directory)
-
-    def test_close_keeps_caller_directory(self, tmp_path):
-        store = RowStore(WIDTH, threshold=2, directory=str(tmp_path))
-        filled(store, 8)
-        store.close()
-        assert tmp_path.exists()
-
-
-class TestEnvKnobs:
-    def test_spill_threshold_parsing(self, scoped_env):
-        scoped_env(threshold=7)
-        assert spill_threshold() == 7
-        scoped_env(threshold="not-a-number")
-        assert spill_threshold() == 1_000_000
-        scoped_env(threshold=0)
-        assert spill_threshold() == 1
-
-    def test_fingerprint_mask_parsing(self, scoped_env):
-        scoped_env(fp_bits=8)
-        assert fingerprint_mask() == 0xFF
-        scoped_env(fp_bits=99)
-        assert fingerprint_mask() == (1 << 61) - 1
-        scoped_env()
-        assert fingerprint_mask() == (1 << 61) - 1
+        assert store.find is None
 
 
 class TestObserveMany:
