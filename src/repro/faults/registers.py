@@ -144,8 +144,9 @@ class ExactKeyProtocol:
     A protocol's ``canonical_key`` promises bisimilarity *under faithful
     memory semantics*; injected faults break that promise (corrupted
     values need not even live in the abstraction's domain), so faulty
-    systems deduplicate on exact configurations instead.  All other
-    attributes delegate to the wrapped protocol.
+    systems deduplicate on exact configurations instead.  The wrapper
+    answers the canonical keys and the round-shift hook pair itself;
+    all other attributes delegate to the wrapped protocol.
     """
 
     def __init__(self, inner: Protocol):
@@ -153,22 +154,21 @@ class ExactKeyProtocol:
         # Bind the delegated attributes eagerly: systems call poised /
         # transition / decision once per step, and a __getattr__ round
         # trip per call costs ~3x on schedule replay (see bench_faults).
+        # Never copy a name the class answers (a copy would shadow it).
         for name in dir(inner):
-            if name.startswith("_") or name in (
-                "canonical_key",
-                "canonical_query_key",
-            ):
+            if name.startswith("_") or hasattr(ExactKeyProtocol, name):
                 continue
             setattr(self, name, getattr(inner, name))
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def canonical_key(self, config):
-        return config
-
-    def canonical_query_key(self, config, pids):
-        return (config, frozenset(pids))
+    # Protocol's own defaults: exact keys and no round-shift quotient
+    # (the kernel reads them from this class and dedups rows exactly).
+    canonical_key = Protocol.canonical_key
+    canonical_query_key = Protocol.canonical_query_key
+    rounds_of = Protocol.rounds_of
+    shift_rounds = Protocol.shift_rounds
 
 
 class FaultyMemorySystem(System):

@@ -33,6 +33,8 @@ record-decisions step is dictionary probes only.
 
 from __future__ import annotations
 
+from math import inf
+from struct import Struct
 from typing import List, Optional
 
 from repro.errors import KernelError, ModelError
@@ -51,6 +53,22 @@ FIXED = 1
 #: Fallback reason slugs, also used as ``kernel.fallback.<slug>`` metric
 #: suffixes and recorded in trace events.
 REASON_SYSTEM_SUBCLASS = "system-subclass"
+
+
+class _Table(dict):
+    """A dict that fills a missing key from ``fill(key)`` on first probe;
+    hits stay plain dict lookups, so ``map(table.__getitem__, ids)``
+    probes a row's fields without a Python-level loop."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def _narrow_bits(universe_size: int) -> int:
@@ -131,15 +149,19 @@ class CompiledProgram:
         self.plans: List[dict] = [{} for _ in range(self.n)]
         self.decisions: List[dict] = [{} for _ in range(self.n)]
         self.deciding = False
-        # Canonical handling: protocols with the default exact canonical
-        # key dedup directly on rows (packing is injective w.r.t.
-        # configuration equality); protocols overriding the hooks get a
-        # per-row canonicalisation memo in the explorer's spaces.
-        self.exact_canonical = (
-            type(protocol).canonical_key is Protocol.canonical_key
-            and type(protocol).canonical_query_key
-            is Protocol.canonical_query_key
+        # Canonical handling, read from the protocol's class: default keys
+        # dedup on rows (packing is injective w.r.t. configuration
+        # equality), a declared round-shift hook pair on canonical rows
+        # from the tables below, any other override through the protocol.
+        cls = type(protocol)
+        derived = (
+            cls.canonical_key is Protocol.canonical_key
+            and cls.canonical_query_key is Protocol.canonical_query_key
         )
+        self.round_shift = derived and cls.rounds_of is not Protocol.rounds_of
+        self.exact_canonical = derived and not self.round_shift
+        if self.round_shift:
+            self._tabulate_rounds(protocol)
         if self.static:
             self._precompile(protocol)
 
@@ -210,6 +232,75 @@ class CompiledProgram:
             ) + ((codec.value_id(new_value) - cur) << shift)
         table[cur] = delta
         return delta
+
+    # -- round-shift quotient (cold path) -----------------------------
+
+    def _tabulate_rounds(self, protocol: Protocol) -> None:
+        """Lazy tables of the round-shift hook pair (docs/THEORY.md).
+
+        ``state_rounds``/``value_rounds``: id -> least round its object
+        carries (``inf``, the identity of ``min``, for none).
+        ``shifted[base]``: state and value ids -> ids of their objects
+        shifted down by ``base``, interned here, not in the codec, so no
+        decision probe fires for them.  The fills close over the codec
+        and protocol, not the program: :meth:`close` still frees it.
+        """
+        codec = self.codec
+        interned: dict = {}
+
+        def least(objects):
+            return _Table(
+                lambda i: min(protocol.rounds_of(objects[i]), default=inf)
+            )
+
+        def shifted(objects, base):
+            # A row without rounds has base ``inf``; its objects carry
+            # none, so they shift to themselves.
+            return _Table(
+                lambda i: interned.setdefault(
+                    protocol.shift_rounds(objects[i], base), len(interned)
+                )
+            )
+
+        self.state_rounds = least(codec.states)
+        self.value_rounds = least(codec.values)
+        self.shifted = _Table(
+            lambda base: (
+                shifted(codec.states, base),
+                shifted(codec.values, base),
+            )
+        )
+        # Rows convert to and from their fields in one C call each.
+        code = {8: "B", 16: "H", 32: "I"}[codec.field_bits]
+        self._fields = Struct(f"<{codec.field_count}{code}")
+
+    def canonical_row(self, row: int) -> int:
+        """``row`` under the round-shift quotient, as an integer row.
+
+        Its state and register fields hold the ids of their objects
+        shifted down by the row's least round; coin fields are copied.
+        Two rows get equal canonical rows iff their configurations get
+        equal ``Protocol.canonical_key`` values (docs/THEORY.md).
+        """
+        codec = self.codec
+        fields = self._fields.unpack(row.to_bytes(codec.width_bytes, "little"))
+        n = codec.n
+        end = n + codec.registers
+        sids = fields[:n]
+        vids = fields[n:end]
+        base = min(
+            min(map(self.state_rounds.__getitem__, sids)),
+            min(map(self.value_rounds.__getitem__, vids), default=inf),
+        )
+        states, values = self.shifted[base]
+        return int.from_bytes(
+            self._fields.pack(
+                *map(states.__getitem__, sids),
+                *map(values.__getitem__, vids),
+                *fields[end:],
+            ),
+            "little",
+        )
 
     # -- static lowering ----------------------------------------------
 

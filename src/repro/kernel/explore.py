@@ -9,10 +9,12 @@ lives in ``tests/test_kernel_differential.py``.
 Layout of one exploration:
 
 * The *visited space* (one per process set, persistent across
-  explorations so canonicalisation and interning amortise over an
-  oracle's queries) assigns a dense global id (``gcid``) to every
-  distinct canonical configuration and stores its representative
-  packed row in a :class:`~repro.kernel.store.RowStore`.
+  explorations) assigns a dense global id (``gcid``) to every distinct
+  canonical configuration and stores its representative packed row in
+  a :class:`~repro.kernel.store.RowStore`.  Exact keys dedup on the row
+  itself; a declared round-shift hook pair dedups on the program's
+  canonical row, built from lazy tables without unpacking; any other
+  key override unpacks each novel row once.
 * The *frontier log* is a list holding one 112-bit int record per BFS
   discovery::
 
@@ -52,20 +54,11 @@ _MISS = object()
 class _Space:
     """Per-process-set visited arena, persistent across explorations."""
 
-    __slots__ = (
-        "program",
-        "pid_set",
-        "store",
-        "alias",
-        "key_to_cid",
-        "cid_keys",
-        "fragments",
-    )
+    __slots__ = ("program", "pid_set", "store", "alias", "key_to_cid")
 
     def __init__(self, program: CompiledProgram, pid_set: FrozenSet[int]):
         self.program = program
         self.pid_set = pid_set
-        self.fragments: dict = {}
         if program.exact_canonical:
             # Packing is injective w.r.t. configuration equality and the
             # default canonical key is the configuration itself, so rows
@@ -73,34 +66,28 @@ class _Space:
             self.store = RowStore(indexed=True)
             self.alias = None
             self.key_to_cid = None
-            self.cid_keys = None
         else:
-            # Overridden canonical hooks (e.g. CommitAdoptRounds' round
-            # abstraction): novel rows canonicalise through the protocol
-            # once, then alias to their class id forever.
+            # A coarser canonical key: novel rows canonicalise once, then
+            # alias to their class id forever.  The class keeps the raw
+            # row first seen as its representative.
             self.store = RowStore(indexed=False)
             self.alias = {}
             self.key_to_cid = {}
-            self.cid_keys = []
 
     def resolve(self, row: int) -> int:
-        """Canonicalise a novel row (overridden-canonical protocols).
-
-        Uses the fragment-memoised ``canonical_query_key_cached`` hook
-        with a space-owned cache: the hook's contract is strict equality
-        with ``canonical_query_key``, so the cid mapping is identical to
-        the interpreter's -- just cheaper per novel row.
-        """
+        """Canonicalise a novel row: its key is the program's canonical
+        row under a declared round-shift hook pair, else the protocol's
+        own ``canonical_query_key`` of the unpacked row."""
         program = self.program
-        config = program.codec.unpack(row)
-        key = program.protocol.canonical_query_key_cached(
-            config, self.pid_set, self.fragments
-        )
+        if program.round_shift:
+            key = program.canonical_row(row)
+        else:
+            key = program.protocol.canonical_query_key(
+                program.codec.unpack(row), self.pid_set
+            )
         cid = self.key_to_cid.get(key)
         if cid is None:
-            cid = self.store.append(row)
-            self.key_to_cid[key] = cid
-            self.cid_keys.append(key)
+            cid = self.key_to_cid[key] = self.store.append(row)
         self.alias[row] = cid
         return cid
 

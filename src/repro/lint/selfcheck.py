@@ -158,7 +158,8 @@ KERNEL_HOT_BANNED_CALLS = frozenset({
     "apply_operation",
     "canonical_key",
     "canonical_query_key",
-    "canonical_query_key_cached",
+    "rounds_of",
+    "shift_rounds",
     "deepcopy",
 })
 

@@ -87,6 +87,9 @@ class Protocol(ABC):
         if n < 1:
             raise ValueError(f"need at least one process, got n={n}")
         self.n = n
+        # canonical_key's shift_rounds results per base, shared so keys
+        # compare their objects by identity (shift_rounds is pure).
+        self._shifted: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -133,21 +136,47 @@ class Protocol(ABC):
     def num_objects(self) -> int:
         return len(self.object_specs())
 
+    # -- the round-shift quotient ---------------------------------------------
+    def rounds_of(self, obj: Hashable) -> Tuple[int, ...]:
+        """The rounds a process state or register value carries; with
+        :meth:`shift_rounds`, the hook pair declaring the round-shift
+        quotient (see :meth:`canonical_key`).  The default: none."""
+        return ()
+
+    def shift_rounds(self, obj: Hashable, base: int) -> Hashable:
+        """``obj`` with every round :meth:`rounds_of` reports lowered by
+        ``base``; an object carrying no rounds is returned as it is."""
+        return obj
+
     def canonical_key(self, config: "Configuration") -> Hashable:
         """A key identifying ``config`` up to protocol-declared symmetry.
 
         Explorers and the valency oracle deduplicate configurations by
         this key.  The default is the configuration itself (exact).  A
-        protocol whose behaviour depends only on an abstraction of the
-        configuration -- e.g. round numbers compared only relatively --
-        may override this with a coarser key, making otherwise infinite
-        reachable graphs finite.  Soundness requirement: configurations
-        with equal keys must be bisimilar (same poised operations up to
-        the abstraction, and transitions preserve key-equality), and
-        decisions must agree.  The test suite checks this on every
-        protocol that overrides the hook (see tests/test_abstraction.py).
+        class declaring the hook pair :meth:`rounds_of`/:meth:`shift_rounds`
+        keys on the states and register values shifted down by the least
+        round they carry, plus the coins, which makes round-drift graphs
+        finite; the compiled kernel reads the same pair through its
+        tables.  Soundness requirement: configurations with equal keys
+        must be bisimilar (same poised operations up to the abstraction,
+        and transitions preserve key-equality), and decisions must agree
+        (checked for every declaring protocol in tests/test_abstraction.py).
         """
-        return config
+        if type(self).rounds_of is Protocol.rounds_of:
+            return config
+        rounds_of = self.rounds_of
+        objects = config.states + config.memory
+        rounds = [r for obj in objects for r in rounds_of(obj)]
+        if not rounds:
+            return config
+        base = min(rounds)
+        shifted = self._shifted.setdefault(base, {})
+        images = []
+        for obj in objects:
+            if obj not in shifted:
+                shifted[obj] = self.shift_rounds(obj, base)
+            images.append(shifted[obj])
+        return (tuple(images), config.coins)
 
     def canonical_query_key(self, config: "Configuration", pids) -> Hashable:
         """A key identifying (configuration, process set) pairs that are
@@ -161,24 +190,6 @@ class Protocol(ABC):
         processes would change what "P-only" means.
         """
         return (self.canonical_key(config), frozenset(pids))
-
-    def canonical_query_key_cached(
-        self, config: "Configuration", pids, cache: dict
-    ) -> Hashable:
-        """:meth:`canonical_query_key`, free to memoise into ``cache``.
-
-        The compiled kernel calls this with a dictionary owned by one
-        process set's visited space, once per novel row.  A protocol whose canonical key is built
-        from per-process fragments (shifted local states, normalised
-        register entries) may stash those fragments in ``cache`` keyed
-        by hashable sub-inputs, turning the per-configuration
-        normalisation into a handful of dictionary probes.  The contract
-        is strict equality: for every configuration and process set the
-        returned key must equal ``canonical_query_key(config, pids)``
-        (the abstraction test suite checks this on every protocol that
-        overrides the hook).  The default ignores the cache.
-        """
-        return self.canonical_query_key(config, pids)
 
     def describe(self) -> str:
         specs = self.object_specs()

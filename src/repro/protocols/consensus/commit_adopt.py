@@ -49,8 +49,10 @@ termination.
 
 Rounds grow without bound under contention (as they must: this protocol
 is subject to FLP), so the P-only reachable graphs are infinite.  The
-protocol therefore ships a shift-invariant :meth:`canonical_key` -- the
-algorithm only ever compares rounds relatively, so subtracting the
+protocol therefore declares the round-shift hook pair
+(:meth:`rounds_of`, :meth:`shift_rounds`) from which
+:meth:`~repro.model.process.Protocol.canonical_key` derives its key --
+the algorithm only ever compares rounds relatively, so subtracting the
 minimum round present in a configuration is an exact bisimulation; it
 collapses the pure round drift and leaves the adversary's bounded-mode
 oracle a much smaller graph.
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 from typing import Hashable, Tuple
 
-from repro.model.configuration import Configuration
+from repro.model.env import Env
 from repro.model.program import (
     ProcState,
     ProgramBuilder,
@@ -225,8 +227,9 @@ class CommitAdoptRounds(ProgramProtocol):
             },
         )
 
-    def canonical_key(self, config: Configuration) -> Hashable:
-        """Subtract the minimum round from every round in the configuration.
+    def rounds_of(self, obj: Hashable) -> Tuple[int, ...]:
+        """The rounds in a register entry, or in a round-loop state's
+        ``r`` and its ``tmp`` and ``scan`` register entries.
 
         The protocol compares rounds only with ==, > and max, and
         advances them only by r := r+1 or by jumping to an observed
@@ -235,112 +238,23 @@ class CommitAdoptRounds(ProgramProtocol):
         to the same shift.  (tests/test_abstraction.py checks the
         commutation of shifting and stepping on random executions.)
         """
-        rounds = [entry[0] for entry in config.memory if entry is not None]
-        for state in config.states:
-            if isinstance(state, ProcState) and "r" in state.env:
-                env = state.env
-                rounds.append(env["r"])
-                tmp = env.get("tmp")
-                if tmp is not None:
-                    rounds.append(tmp[0])
-                for entry in env.get("scan", ()):
-                    if entry is not None:
-                        rounds.append(entry[0])
-        if not rounds:
-            return ("ca-rounds", config)
-        base = min(rounds)
-        memory = tuple(_shift_entry(entry, base) for entry in config.memory)
-        states = []
-        for state in config.states:
-            if isinstance(state, ProcState) and "r" in state.env:
-                env = dict(state.env)
-                env["r"] = env["r"] - base
-                if env.get("tmp") is not None:
-                    env["tmp"] = _shift_entry(env["tmp"], base)
-                if env.get("scan"):
-                    env["scan"] = tuple(
-                        _shift_entry(entry, base) for entry in env["scan"]
-                    )
-                states.append((state.pc, tuple(sorted(env.items()))))
-            else:
-                states.append(state)
-        return ("ca-rounds", tuple(states), memory, config.coins)
+        if isinstance(obj, tuple):
+            return (obj[0],)
+        if not (isinstance(obj, ProcState) and "r" in obj.env):
+            return ()
+        env = obj.env
+        entries = (env["tmp"], *env["scan"])
+        return (env["r"], *[entry[0] for entry in entries if entry is not None])
 
-    def canonical_query_key_cached(
-        self, config: Configuration, pids, cache: dict
-    ) -> Hashable:
-        """:meth:`canonical_key` rebuilt from per-state cached fragments.
-
-        The round shift normalises each process state and each register
-        entry independently once the base (the minimum round present)
-        is known, and reachable graphs revisit the same few thousand
-        process states across hundreds of thousands of configurations.
-        So both the rounds occurring in a state and the state's shifted
-        canonical fragment are memoised in ``cache`` (in nested
-        sub-dictionaries, so the hot probes are keyed on the state's
-        cached hash alone) and the whole normalisation collapses to
-        about a dozen dictionary probes per configuration.  Returns
-        exactly ``(canonical_key(config), frozenset(pids))``, i.e. the
-        value of :meth:`canonical_query_key` (tests/test_abstraction.py
-        checks the equality on random executions).
-        """
-        rounds_memo = cache.get("rounds")
-        if rounds_memo is None:
-            rounds_memo = cache["rounds"] = {}
-            cache["memory"] = {}
-            cache["state"] = {}
-        rounds = [entry[0] for entry in config.memory if entry is not None]
-        proc_states = []
-        for state in config.states:
-            canonical = not (isinstance(state, ProcState) and "r" in state.env)
-            proc_states.append(canonical)
-            if canonical:
-                continue
-            in_state = rounds_memo.get(state)
-            if in_state is None:
-                env = state.env
-                collected = [env["r"]]
-                tmp = env.get("tmp")
-                if tmp is not None:
-                    collected.append(tmp[0])
-                for entry in env.get("scan", ()):
-                    if entry is not None:
-                        collected.append(entry[0])
-                in_state = tuple(collected)
-                rounds_memo[state] = in_state
-            rounds.extend(in_state)
-        if not rounds:
-            return (("ca-rounds", config), frozenset(pids))
-        base = min(rounds)
-        memory_memo = cache["memory"].get(base)
-        if memory_memo is None:
-            memory_memo = cache["memory"][base] = {}
-        memory = memory_memo.get(config.memory)
-        if memory is None:
-            memory = tuple(_shift_entry(entry, base) for entry in config.memory)
-            memory_memo[config.memory] = memory
-        state_memo = cache["state"].get(base)
-        if state_memo is None:
-            state_memo = cache["state"][base] = {}
-        states = []
-        for state, canonical in zip(config.states, proc_states):
-            if canonical:
-                states.append(state)
-                continue
-            fragment = state_memo.get(state)
-            if fragment is None:
-                env = dict(state.env)
-                env["r"] = env["r"] - base
-                if env.get("tmp") is not None:
-                    env["tmp"] = _shift_entry(env["tmp"], base)
-                if env.get("scan"):
-                    env["scan"] = tuple(
-                        _shift_entry(entry, base) for entry in env["scan"]
-                    )
-                fragment = (state.pc, tuple(sorted(env.items())))
-                state_memo[state] = fragment
-            states.append(fragment)
-        return (
-            ("ca-rounds", tuple(states), memory, config.coins),
-            frozenset(pids),
-        )
+    def shift_rounds(self, obj: Hashable, base: int) -> Hashable:
+        """``obj`` with the rounds :meth:`rounds_of` reports lowered by
+        ``base``."""
+        if isinstance(obj, tuple):
+            return _shift_entry(obj, base)
+        if not (isinstance(obj, ProcState) and "r" in obj.env):
+            return obj
+        env = dict(obj.env.items_tuple())
+        env["r"] -= base
+        env["tmp"] = _shift_entry(env["tmp"], base)
+        env["scan"] = tuple(_shift_entry(entry, base) for entry in env["scan"])
+        return ProcState(obj.pc, Env(env))

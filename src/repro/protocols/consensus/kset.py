@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.model.configuration import Configuration
 from repro.model.program import ProgramBuilder, ProgramProtocol
 from repro.model.registers import register
 from repro.protocols.consensus.commit_adopt import CommitAdoptRounds, build_round_program
@@ -45,7 +44,6 @@ class KSetPartition(ProgramProtocol):
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.k = k
         group = n - k + 1  # processes running real consensus
         free_riders = k - 1
         rider = _free_rider_program()
@@ -75,11 +73,8 @@ class KSetPartition(ProgramProtocol):
             initial_env=initial_env,
         )
         self._free_riders = free_riders
-        # Reuse the round protocol's shift-invariant abstraction.
-        self._shift_template = CommitAdoptRounds(max(group, 1))
 
-    def canonical_key(self, config: Configuration) -> Hashable:
-        shifted = self._shift_template.canonical_key(
-            Configuration(config.states, config.memory, config.coins)
-        )
-        return ("kset", self.k, shifted)
+    # The racers run the round loop and the free riders carry no rounds,
+    # so the round protocol's quotient applies as it stands.
+    rounds_of = CommitAdoptRounds.rounds_of
+    shift_rounds = CommitAdoptRounds.shift_rounds

@@ -6,8 +6,9 @@ tests here inject faults into *correct* protocols and demand violations.
 """
 
 from repro.model.operations import Read, Write
-from repro.model.system import System
+from repro.model.system import InterpretedSystem, System
 from repro.analysis.checker import check_consensus_exhaustive
+from repro.analysis.explorer import Explorer
 from repro.faults import (
     FaultyMemorySystem,
     RegisterFaultPlan,
@@ -16,8 +17,10 @@ from repro.faults import (
     lost_write_plan,
     stale_read_plan,
 )
-from repro.faults.registers import _corrupt
+from repro.faults.registers import ExactKeyProtocol, _corrupt
 from repro.protocols.consensus import CommitAdoptRounds, TasConsensus
+
+from tests.test_kernel_differential import result_fingerprint
 
 
 class TestCorruptValues:
@@ -146,6 +149,26 @@ class TestFaultyMemorySystem:
             system, [0, 1], max_configs=20_000, strict=False
         )
         assert not result.ok
+
+
+class TestExactKeyProtocol:
+    def test_round_shift_is_not_forwarded_to_either_engine(self):
+        """The wrapper answers the round-shift hook pair itself, so the
+        kernel dedups exactly, as the interpreter does, instead of
+        quotienting by the inner protocol's rounds."""
+
+        def explore(system_class):
+            system = system_class(ExactKeyProtocol(CommitAdoptRounds(2)))
+            explorer = Explorer(system, max_configs=3000, strict=False)
+            root = system.initial_configuration([0, 1])
+            try:
+                return explorer.explore(root, frozenset({0, 1}))
+            finally:
+                explorer.close()
+
+        assert result_fingerprint(explore(System)) == result_fingerprint(
+            explore(InterpretedSystem)
+        )
 
 
 class TestCorruptionCampaign:

@@ -22,6 +22,7 @@ import hypothesis.strategies as st
 import pytest
 
 from repro.analysis.explorer import Explorer
+from repro.analysis.symmetry import SymmetricKey
 from repro.cli import parse_protocol
 from repro.core.serialize import to_json
 from repro.core.theorem import space_lower_bound
@@ -30,7 +31,12 @@ from repro.errors import BudgetExhausted, ExplorationLimitError
 from repro.faults.budget import Budget
 from repro.fuzz.oracle import input_vectors
 from repro.model.system import InterpretedSystem, System
-from repro.protocols.consensus import CommitAdoptRounds
+from repro.protocols.consensus import (
+    CasConsensus,
+    CommitAdoptRounds,
+    KSetPartition,
+    RandomizedRounds,
+)
 
 from tests.strategies import (
     DIFFERENTIAL,
@@ -173,6 +179,26 @@ def test_compiled_oracle_equals_interpreted_oracle(protocol):
         root = system.initial_configuration([0, 1] + [0] * (protocol.n - 2))
         final, _ = system.run(root, schedule)
         assert value in system.decided_values(final)
+
+
+@pytest.mark.parametrize(
+    "protocol, inputs",
+    [
+        (KSetPartition(4, 2), [0, 1, 2, 3]),
+        (RandomizedRounds(3), [0, 1, 1]),
+        # No hook pair: novel rows key through the override itself.
+        (SymmetricKey(CasConsensus(3)), [0, 1, 1]),
+    ],
+    ids=["kset:4:2", "randomized:3", "symmetric-cas:3"],
+)
+def test_quotiented_exploration_is_bit_identical(protocol, inputs):
+    """Canonical keys coarser than the configuration: the round-shift
+    tables and the generic ``canonical_query_key`` path."""
+    interp = explore_with(
+        protocol, InterpretedSystem, inputs=inputs, max_configs=5_000
+    )
+    compiled = explore_with(protocol, System, inputs=inputs, max_configs=5_000)
+    assert result_fingerprint(compiled) == result_fingerprint(interp)
 
 
 def test_strict_limit_error_is_byte_identical():

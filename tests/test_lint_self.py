@@ -164,6 +164,15 @@ class TestKernelHotPath:
         report = check_kernel_hot_path(root)
         assert report.by_code("kernel-hot-alloc")
 
+    @pytest.mark.parametrize("hook", ["rounds_of", "shift_rounds"])
+    def test_round_shift_hook_in_hot_loop_is_flagged(self, tmp_path, hook):
+        """The hook pair is object-model code: the kernel reads it through
+        the compiler's tables, never per edge."""
+        source = f"def _hot_base(protocol, state):\n    return protocol.{hook}(state)\n"
+        root = self.seed_kernel(tmp_path, source)
+        diags = check_kernel_hot_path(root).by_code("kernel-hot-alloc")
+        assert [hook in diag.message for diag in diags] == [True]
+
     def test_explore_without_hot_function_is_flagged(self, tmp_path):
         root = self.seed_kernel(tmp_path, "def expand():\n    pass\n")
         assert check_kernel_hot_path(root).by_code("kernel-hot-missing")
