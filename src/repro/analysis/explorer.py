@@ -169,7 +169,7 @@ class Explorer:
         return None
 
     def close(self) -> None:
-        """Release the compiled kernel and its visited rows, if any."""
+        """Release the compiled kernel and its tables, if any."""
         if self._kernel_explorer is not None:
             self._kernel_explorer.close()
             self._kernel_explorer = None

@@ -635,6 +635,11 @@ def cmd_stats(args) -> int:
         ["mean batch size",
          "n/a" if not batch_count
          else f"{batches.get('sum', 0) / batch_count:.1f}"],
+        ["raw-row dedup searches", counters.get("kernel.dedup.raw", 0)],
+        ["canonical-row dedup searches",
+         counters.get("kernel.dedup.canonical", 0)],
+        ["generic-key dedup searches",
+         counters.get("kernel.dedup.generic", 0)],
         ["interpreter fallbacks", counters.get("kernel.fallbacks", 0)],
     ]
     reasons = sorted(

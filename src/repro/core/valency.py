@@ -180,9 +180,10 @@ class ValencyOracle:
     SOLO_PROBE_STEPS = 600
 
     def _solo_probe(
-        self, config: Configuration, pids: FrozenSet[int]
+        self, config: Configuration, pids: FrozenSet[int], key: Hashable
     ) -> None:
-        """Record witnesses from plain solo runs of each member of P.
+        """Record witnesses from plain solo runs of each member of P
+        under the query's memo ``key``.
 
         Most positive valency queries are answered by somebody deciding
         alone -- a one-path probe that is orders of magnitude cheaper
@@ -191,7 +192,6 @@ class ValencyOracle:
         lemma scans that re-probe overlapping solo chains pay a few
         dictionary probes per step, not a model step.
         """
-        key = self._key(config, pids)
         known = self._witnesses.setdefault(key, {})
         for value in self.system.decided_values(config):
             known.setdefault(value, ())
@@ -205,12 +205,12 @@ class ValencyOracle:
                 known.setdefault(value, (pid,) * steps)
 
     def _explore(
-        self, config: Configuration, pids: FrozenSet[int], value: Hashable
+        self, config: Configuration, pids: FrozenSet[int], value, key
     ) -> None:
-        """Search for a P-only execution deciding ``value``, solo probes first."""
-        key = self._key(config, pids)
+        """Search for a P-only execution deciding ``value``, solo probes
+        first; answers are memoised under ``key``."""
         if self.solo_probe:
-            self._solo_probe(config, pids)
+            self._solo_probe(config, pids, key)
             if value in self._witnesses.get(key, {}):
                 return
         with get_tracer().span(
@@ -235,8 +235,14 @@ class ValencyOracle:
         if not pid_set:
             raise ValueError("valency is defined for non-empty process sets")
         self._check_open()
+        return self._answer(config, pid_set, value, self._key(config, pid_set))
+
+    def _answer(
+        self, config: Configuration, pid_set: FrozenSet[int], value, key
+    ) -> bool:
+        """:meth:`can_decide` past its argument checks; ``key`` is the
+        query's memo key, computed once per query."""
         self._bump("queries")
-        key = self._key(config, pid_set)
         if self.memoize:
             known = self._witnesses.get(key, {})
             if value in known:
@@ -248,7 +254,7 @@ class ValencyOracle:
             if value in self._bounded_negative.get(key, ()):
                 self._bump("cache_hits")
                 return False
-        self._explore(config, pid_set, value)
+        self._explore(config, pid_set, value, key)
         if value in self._witnesses.get(key, {}):
             return True
         if not self.strict:
@@ -272,7 +278,8 @@ class ValencyOracle:
                 f"processes {sorted(pid_set)} cannot decide {value!r} from "
                 "this configuration; no witness exists"
             )
-        schedule = self._witnesses[self._key(config, pid_set)][value]
+        key = self._key(config, pid_set)
+        schedule = self._witnesses[key][value]
         if self._witness_replays(config, schedule, value):
             return schedule
         with get_tracer().span(
@@ -288,7 +295,7 @@ class ValencyOracle:
             raise AdversaryError(
                 f"failed to reconstruct a replayable witness for {value!r}"
             )
-        self._witnesses[self._key(config, pid_set)][value] = fresh
+        self._witnesses[key][value] = fresh
         return fresh
 
     def _witness_replays(

@@ -27,7 +27,7 @@ the equality end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.errors import ReproError
 from repro.core.serialize import FORMAT_VERSION, register_codec
@@ -97,26 +97,24 @@ class JournaledOracle(ValencyOracle):
         if not self.journal.replaying:
             super().charge(cost)
 
-    def can_decide(
-        self, config: Configuration, pids: Iterable[int], value: Hashable
+    def _answer(
+        self, config: Configuration, pid_set: FrozenSet[int], value, key
     ) -> bool:
-        # Closed means closed, replayed answers included.
-        self._check_open()
-        pid_set = frozenset(pids)
+        # ``can_decide`` has checked that the oracle is open: closed
+        # means closed, replayed answers included.
         entry = self.journal.replay()
         if entry is not None:
             answer = bool(entry["answer"])
             witness = entry.get("witness")
             if answer and witness is not None:
-                key = self._key(config, pid_set)
                 self._witnesses.setdefault(key, {}).setdefault(
                     value, tuple(witness)
                 )
             return answer
-        answer = super().can_decide(config, pid_set, value)
+        answer = super()._answer(config, pid_set, value, key)
         witness = None
         if answer:
-            witness = list(self._witnesses[self._key(config, pid_set)][value])
+            witness = list(self._witnesses[key][value])
         self.journal.record({"answer": answer, "witness": witness})
         return answer
 

@@ -180,8 +180,8 @@ def engine_fingerprint(
             "truncated": bool(result.truncated),
             "witnesses_replay": bool(result.witnesses_replay(replay)),
         })
-    # Always release the engine: the compiled kernel's tables and
-    # visited rows are dropped eagerly.
+    # Always release the engine: the compiled kernel's tables are
+    # dropped eagerly.
     explorer.close()
     fingerprint = {"engine": spec.name, "explorations": explorations}
     if spec.sabotage:

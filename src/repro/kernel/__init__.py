@@ -22,9 +22,9 @@ kernel* over packed integers:
   frontiers per call, bit-identical to ``Explorer.explore`` (same
   budget ticks, same early exits, same metrics), and the solo runs of
   ``Explorer.solo`` over the same plan and effect tables.
-* :mod:`repro.kernel.store` -- the visited arena: each process set's
-  distinct rows in one list under dense ids, plus a ``row -> id`` dict
-  for exact-canonical protocols.
+* :mod:`repro.kernel.store` -- the visited arena of one search: its
+  rows in one list under dense ids, plus one ``row -> id`` dict, freed
+  when the search returns.
 
 Selection is by the type of the system: ``Explorer`` runs every exact
 :class:`~repro.model.system.System` on the kernel, so the library and

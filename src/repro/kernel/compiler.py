@@ -104,7 +104,6 @@ class CompiledProgram:
         if reason is not None:
             raise KernelError(f"system not compilable: {reason}")
         protocol = system.protocol
-        self.system = system
         self.protocol = protocol
         self.tape = system.tape
         self.n = protocol.n
@@ -148,7 +147,6 @@ class CompiledProgram:
             )
         self.plans: List[dict] = [{} for _ in range(self.n)]
         self.decisions: List[dict] = [{} for _ in range(self.n)]
-        self.deciding = False
         # Canonical handling, read from the protocol's class: default keys
         # dedup on rows (packing is injective w.r.t. configuration
         # equality), a declared round-shift hook pair on canonical rows
@@ -175,7 +173,6 @@ class CompiledProgram:
             value = protocol.decision(pid, state)
             if value is not None:
                 self.decisions[pid][sid] = value
-                self.deciding = True
 
     def close(self) -> None:
         """Detach the codec's state hook, a bound method of this program.

@@ -6,38 +6,55 @@ points, same metric totals, same certificates and witness schedules.
 The correspondence argument lives in docs/THEORY.md; the enforcement
 lives in ``tests/test_kernel_differential.py``.
 
-Layout of one exploration:
+Layout of one exploration, all of it local to the call and freed when
+it returns:
 
-* The *visited space* (one per process set, persistent across
-  explorations) assigns a dense global id (``gcid``) to every distinct
-  canonical configuration and stores its representative packed row in
-  a :class:`~repro.kernel.store.RowStore`.  Exact keys dedup on the row
-  itself; a declared round-shift hook pair dedups on the program's
-  canonical row, built from lazy tables without unpacking; any other
-  key override unpacks each novel row once.
-* The *frontier log* is a list holding one 112-bit int record per BFS
-  discovery::
+* The *arena* is a :class:`~repro.kernel.store.RowStore`: ``rows[lid]``
+  is the row first discovered for local id ``lid``, and one dict maps
+  every raw row seen to its ``lid``, so ``lid`` is the class id.  The
+  search's *dedup* (the ``kernel.dedup.*`` counters) decides what a raw
+  row the dict has not seen joins:
 
-      gcid:32 | parent_lid+1:32 | depth:32 | via_pid:16
+  - ``raw``: exact keys, and a round-shift search whose root has a
+    process outside P carrying a round.  That process never steps, so
+    its state pins the shift base and equal canonical rows are equal
+    raw rows; the row is novel and ``canonical_row`` is never called.
+  - ``canonical``: the other round-shift searches (P = everyone, say).
+    The row's canonical row, built from the program's lazy tables,
+    names its class; a known class records the row as an alias.
+  - ``generic``: any other key override (``SymmetricKey``): the row is
+    unpacked once and keyed by the protocol's ``canonical_query_key``.
+
+* The *frontier log* is a list holding one 80-bit int record per BFS
+  discovery, at index ``lid``::
+
+      parent_lid+1:32 | depth:32 | via_pid:16
 
   Because the interpreted BFS appends successors to its queue at the
   moment of first discovery, the log *is* the queue: expanding record
-  ``qi`` while appending new records at the end replays exactly the
-  interpreted FIFO order, and the ``parent_lid`` chain doubles as the
-  parent-pointer map for witness reconstruction.
+  ``qi`` (row ``rows[qi]``) while appending new records at the end
+  replays exactly the interpreted FIFO order, and the ``parent_lid``
+  chain doubles as the parent-pointer map for witness reconstruction.
+
+* *One decision probe per discovery*: a step changes only the stepping
+  process's state, and every stored row was discovered in this search,
+  so the other processes' decisions were already recorded at an
+  ancestor or at the root.  A discovery probes only the stepping pid's
+  decision table and re-tests ``stop_when`` only when ``found`` grew.
 
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
 ``Configuration`` construction, no pack/unpack, no comprehensions --
 per-edge work is shifts, masks, one big-int add and dict probes.  Cold
 paths (plan/effect misses, canonicalisation of novel rows) are the
-``*_miss``/``resolve`` handlers the loop delegates to.  Solo runs (the
+``*_miss``/``admit`` handlers the loop delegates to.  Solo runs (the
 valency oracle's solo probes) walk the same plan and effect tables in
 :func:`_hot_solo`, under the same contract.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.analysis.explorer import BRANCHING_EDGES, ExplorationResult
@@ -51,53 +68,31 @@ from repro.obs.runtime import get_metrics, get_tracer
 _MISS = object()
 
 
-class _Space:
-    """Per-process-set visited arena, persistent across explorations."""
+def _quotient_admit(store: RowStore, key_of):
+    """The cold ``admit`` of a quotiented search: ``key_of(row)`` names
+    the class of a raw row the arena has not seen.  A novel class
+    stores the row and returns its new ``lid``; a known one records the
+    row as an alias and returns None."""
+    classes: dict = {}
+    index = store.index
 
-    __slots__ = ("program", "pid_set", "store", "alias", "key_to_cid")
+    def admit(row: int) -> Optional[int]:
+        key = key_of(row)
+        lid = classes.get(key)
+        if lid is None:
+            lid = classes[key] = store.append(row)
+            return lid
+        index[row] = lid
+        return None
 
-    def __init__(self, program: CompiledProgram, pid_set: FrozenSet[int]):
-        self.program = program
-        self.pid_set = pid_set
-        if program.exact_canonical:
-            # Packing is injective w.r.t. configuration equality and the
-            # default canonical key is the configuration itself, so rows
-            # dedup directly.
-            self.store = RowStore(indexed=True)
-            self.alias = None
-            self.key_to_cid = None
-        else:
-            # A coarser canonical key: novel rows canonicalise once, then
-            # alias to their class id forever.  The class keeps the raw
-            # row first seen as its representative.
-            self.store = RowStore(indexed=False)
-            self.alias = {}
-            self.key_to_cid = {}
-
-    def resolve(self, row: int) -> int:
-        """Canonicalise a novel row: its key is the program's canonical
-        row under a declared round-shift hook pair, else the protocol's
-        own ``canonical_query_key`` of the unpacked row."""
-        program = self.program
-        if program.round_shift:
-            key = program.canonical_row(row)
-        else:
-            key = program.protocol.canonical_query_key(
-                program.codec.unpack(row), self.pid_set
-            )
-        cid = self.key_to_cid.get(key)
-        if cid is None:
-            cid = self.key_to_cid[key] = self.store.append(row)
-        self.alias[row] = cid
-        return cid
+    return admit
 
 
 def _hot_expand(
     log,
-    row_get,
-    lookup,
+    rows,
+    index,
     admit,
-    program,
     plans,
     plan_miss,
     effect_miss,
@@ -105,10 +100,8 @@ def _hot_expand(
     found,
     stop_when,
     sorted_pids,
-    all_pids,
     state_shifts,
     field_mask,
-    parents,
     level_sizes,
     branch_counts,
     budget,
@@ -123,7 +116,8 @@ def _hot_expand(
     caller can flush metrics exactly once (including on a raise, where
     the interpreted loop's incremental counter updates are also already
     committed).  Order of operations per popped record and per pid
-    mirrors ``Explorer.explore`` statement for statement.
+    mirrors ``Explorer.explore`` statement for statement, except that a
+    discovery probes only the stepping pid's decisions.
     """
     log_append = log.append
     # Two masks: the frontier-log record layout is fixed at 32-bit
@@ -135,17 +129,17 @@ def _hot_expand(
     total = 1
     while qi < total:
         entry = log[qi]
+        row = rows[qi]
         qi += 1
         if budget is not None:
             budget.tick()
-        depth = (entry >> 64) & mask
+        depth = (entry >> 32) & mask
         if max_depth is not None and depth >= max_depth:
             ctr[2] = 1
             continue
         ctr[3] += 1
-        row = row_get(entry & mask)
         nd = depth + 1
-        packed_depth = nd << 64
+        record = qi | (nd << 32)
         branch = 0
         for pid in sorted_pids:
             pplans = plans[pid]
@@ -166,22 +160,18 @@ def _hot_expand(
                 succ = row + delta
             else:
                 succ = row + plan[2]
-            scid = lookup(succ)
-            if scid is None:
-                scid = admit(succ)
-            if scid in parents:
+            lid = None if succ in index else admit(succ)
+            if lid is None:
                 ctr[1] += 1
                 continue
-            lid = total
-            parents[scid] = lid
-            log_append(scid | (qi << 32) | packed_depth | (pid << 96))
+            log_append(record | (pid << 64))
             total += 1
-            if len(parents) > max_configs:
+            if total > max_configs:
                 if strict:
                     pids_list = sorted(sorted_pids)
                     get_tracer().event(
                         "exploration_limit",
-                        visited=len(parents),
+                        visited=total,
                         max_configs=max_configs,
                         pids=pids_list,
                     )
@@ -189,17 +179,13 @@ def _hot_expand(
                         f"exploration from root exceeded "
                         f"{max_configs} configurations "
                         f"(pids={pids_list})",
-                        visited=len(parents),
+                        visited=total,
                     )
                 ctr[2] = 1
                 return "limit"
-            # Read ``deciding`` live: a dynamically lowered protocol may
-            # intern its first deciding state mid-exploration.
-            if program.deciding:
-                for p2 in all_pids:
-                    value = decisions[p2].get((succ >> state_shifts[p2]) & fmask)
-                    if value is not None and value not in found:
-                        found[value] = lid
+            value = decisions[pid].get((succ >> state_shifts[pid]) & fmask)
+            if value is not None and value not in found:
+                found[value] = lid
                 if stop_when is not None and stop_when <= found.keys():
                     return "stopped"
             level_sizes[nd] = level_sizes.get(nd, 0) + 1
@@ -242,22 +228,20 @@ def _schedule_of(log: List[int], lid: int) -> Tuple[int, ...]:
     steps = []
     entry = log[lid]
     while True:
-        parent1 = (entry >> 32) & FIELD_MASK
+        parent1 = entry & FIELD_MASK
         if parent1 == 0:
             break
-        steps.append((entry >> 96) & 0xFFFF)
+        steps.append((entry >> 64) & 0xFFFF)
         entry = log[parent1 - 1]
     steps.reverse()
     return tuple(steps)
 
 
 class KernelExplorer:
-    """Owns one compiled program plus its per-process-set spaces."""
+    """Owns one compiled program; each search builds its own arena."""
 
     def __init__(self, system):
         self.program = CompiledProgram(system)
-        self.system = system
-        self._spaces = {}
         get_metrics().counter("kernel.compiles").inc()
         get_tracer().event(
             "kernel.compiled",
@@ -268,15 +252,7 @@ class KernelExplorer:
             field_bits=self.program.codec.field_bits,
         )
 
-    def space(self, pid_set: FrozenSet[int]) -> _Space:
-        sp = self._spaces.get(pid_set)
-        if sp is None:
-            sp = _Space(self.program, pid_set)
-            self._spaces[pid_set] = sp
-        return sp
-
     def close(self) -> None:
-        self._spaces.clear()
         self.program.close()
 
     def solo(
@@ -296,6 +272,21 @@ class KernelExplorer:
             codec.state_shifts[pid],
             codec.field_mask,
         )
+
+    def _dedup(self, row0: int, pid_set: FrozenSet[int]) -> str:
+        """The dedup of a search from ``row0``: "raw", "canonical" or
+        "generic" (see the module docstring)."""
+        program = self.program
+        if program.exact_canonical:
+            return "raw"
+        if not program.round_shift:
+            return "generic"
+        codec = program.codec
+        for pid in range(program.n):
+            sid = (row0 >> codec.state_shifts[pid]) & codec.field_mask
+            if pid not in pid_set and program.state_rounds[sid] < inf:
+                return "raw"
+        return "canonical"
 
     def explore(
         self,
@@ -321,39 +312,38 @@ class KernelExplorer:
         branch_counts: dict = {}
         ctr = [0, 0, 0, 0]  # edges, dedup, truncated, pops
 
-        space = self.space(pid_set)
-        store = space.store
-        if program.exact_canonical:
-            admit = store.append
-            lookup = store.find
-        else:
-            admit = space.resolve
-            lookup = space.alias.get
-
         row0 = codec.pack(root)
-        gcid0 = lookup(row0)
-        if gcid0 is None:
-            gcid0 = admit(row0)
-        parents = {gcid0: 0}
-        log = [gcid0]  # root record: parent1=0, depth=0
+        store = RowStore()
+        dedup = self._dedup(row0, pid_set)
+        metrics.counter(f"kernel.dedup.{dedup}").inc()
+        if dedup == "raw":
+            admit = store.append
+        elif dedup == "canonical":
+            admit = _quotient_admit(store, program.canonical_row)
+        else:
+            protocol = program.protocol
+            unpack = codec.unpack
+            admit = _quotient_admit(
+                store,
+                lambda row: protocol.canonical_query_key(unpack(row), pid_set),
+            )
+        admit(row0)
+        log = [0]  # root record: parent1=0, depth=0
         found: dict = {}
-        sorted_pids = sorted(pid_set)
-        all_pids = tuple(range(program.n))
         state_shifts = codec.state_shifts
         decisions = program.decisions
 
-        if program.deciding:
-            for pid in all_pids:
-                value = decisions[pid].get(
-                    (row0 >> state_shifts[pid]) & codec.field_mask
-                )
-                if value is not None and value not in found:
-                    found[value] = 0
+        for pid in range(program.n):
+            value = decisions[pid].get(
+                (row0 >> state_shifts[pid]) & codec.field_mask
+            )
+            if value is not None and value not in found:
+                found[value] = 0
 
         def finish(outcome: str) -> ExplorationResult:
             for value, lid in found.items():
                 result.decided[value] = _schedule_of(log, lid)
-            result.visited = len(parents)
+            result.visited = len(store)
             result.complete = outcome == "done" and not result.truncated
             metrics.counter("explorer.explorations").inc()
             metrics.counter("explorer.visited").inc(result.visited)
@@ -380,21 +370,18 @@ class KernelExplorer:
                 return finish("stopped")
             outcome = _hot_expand(
                 log,
-                store.get,
-                lookup,
+                store.rows,
+                store.index,
                 admit,
-                program,
                 program.plans,
                 program.plan_miss,
                 program.effect_miss,
                 decisions,
                 found,
                 stop_when,
-                sorted_pids,
-                all_pids,
+                sorted(pid_set),
                 state_shifts,
                 codec.field_mask,
-                parents,
                 level_sizes,
                 branch_counts,
                 budget,

@@ -144,7 +144,8 @@ def check_determinism(root: Path) -> LintReport:
 #: Object-model and allocation-heavy call names banned inside ``_hot_*``
 #: functions of the compiled kernel: per-edge work must stay shifts,
 #: masks, one big-int add and dict probes; anything touching the object
-#: model belongs in a cold ``*_miss``/``resolve`` handler.
+#: model, or canonicalising a row, belongs in a cold ``*_miss``/``admit``
+#: handler.
 KERNEL_HOT_BANNED_CALLS = frozenset({
     "Configuration",
     "pack",
@@ -160,6 +161,7 @@ KERNEL_HOT_BANNED_CALLS = frozenset({
     "canonical_query_key",
     "rounds_of",
     "shift_rounds",
+    "canonical_row",
     "deepcopy",
 })
 
@@ -230,7 +232,7 @@ def check_kernel_hot_path(root: Path) -> LintReport:
                             message=(
                                 f"{node.name} calls {name}(): object-model "
                                 "calls are banned in the kernel hot path; "
-                                "delegate to a cold *_miss/resolve handler"
+                                "delegate to a cold *_miss/admit handler"
                             ),
                             path=relative,
                             line=inner.lineno,

@@ -145,7 +145,14 @@ class Protocol(ABC):
 
     def shift_rounds(self, obj: Hashable, base: int) -> Hashable:
         """``obj`` with every round :meth:`rounds_of` reports lowered by
-        ``base``; an object carrying no rounds is returned as it is."""
+        ``base``; an object carrying no rounds is returned as it is.
+
+        The compiled kernel rests on two properties of the pair: for a
+        fixed ``base``, distinct objects shift to distinct objects; and
+        an object that carries a round shifts to different objects
+        under different bases.  They let a search in which a process
+        carrying a round never steps dedup raw rows (docs/THEORY.md);
+        ``TestShiftContract`` in tests/test_abstraction.py checks both."""
         return obj
 
     def canonical_key(self, config: "Configuration") -> Hashable:

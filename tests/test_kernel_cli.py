@@ -136,6 +136,10 @@ class TestStatsKernelTable:
             l for l in out.splitlines() if l.startswith("mean batch size")
         )
         assert not batch_row.rstrip().endswith("n/a")
+        raw_row = next(
+            l for l in out.splitlines() if l.startswith("raw-row dedup")
+        )
+        assert not raw_row.rstrip().endswith(" 0")
 
     def test_kernel_table_na_on_idle_journal(self, tmp_path, capsys):
         """A journal that never compiled anything renders zeros and
@@ -158,6 +162,9 @@ class TestStatsKernelTable:
         for row in (
             "programs compiled",
             "batch explorations",
+            "raw-row dedup searches",
+            "canonical-row dedup searches",
+            "generic-key dedup searches",
             "interpreter fallbacks",
         ):
             line = next(l for l in out.splitlines() if l.startswith(row))
@@ -189,3 +196,36 @@ class TestStatsKernelTable:
         )
         assert "compile-error" in reasons
         assert "system-subclass" in reasons
+
+
+class TestDedupCounters:
+    """``kernel.dedup.*`` count searches by how they dedup rows."""
+
+    def test_rounds_adversary_dedups_raw_rows(self, tmp_path, capsys):
+        """Every oracle search of the construction leaves a process
+        outside P, and that process's round pins the shift."""
+        metrics = tmp_path / "m.json"
+        rc, _ = run_cli(
+            ["adversary", "rounds:4", "--metrics-out", str(metrics)], capsys
+        )
+        assert rc == 0
+        counters = json.loads(metrics.read_text("utf-8"))["counters"]
+        assert counters["oracle.explorations"] > 0
+        assert counters.get("kernel.dedup.raw") == counters["oracle.explorations"]
+        assert counters.get("kernel.dedup.canonical", 0) == 0
+
+    def test_everyone_search_dedups_canonical_rows(self):
+        from tests.test_kernel_differential import explore_with
+        from repro.model.system import System
+        from repro.obs import MetricsRegistry, observe
+        from repro.protocols.consensus import CommitAdoptRounds
+
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            explore_with(
+                CommitAdoptRounds(2), System, inputs=[0, 1],
+                max_configs=20_000,
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters.get("kernel.dedup.canonical") == 1
+        assert counters.get("kernel.dedup.raw", 0) == 0

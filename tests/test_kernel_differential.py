@@ -99,8 +99,8 @@ def test_compiled_warm_space_is_bit_identical(protocol, inputs_seed):
     explorer = Explorer(system, max_configs=50_000, strict=False)
     pids = frozenset(range(protocol.n))
     root = system.initial_configuration(inputs)
-    # Twice: the second pass runs on the persistent space the first
-    # one warmed.
+    # Twice on one explorer: each search builds its own arena, so the
+    # second must see nothing the first one left behind.
     first = explorer.explore(root, pids)
     second = explorer.explore(root, pids)
     explorer.close()
@@ -199,6 +199,143 @@ def test_quotiented_exploration_is_bit_identical(protocol, inputs):
     )
     compiled = explore_with(protocol, System, inputs=inputs, max_configs=5_000)
     assert result_fingerprint(compiled) == result_fingerprint(interp)
+
+
+def observed_explore(
+    protocol, system_class, roots, pid_sets, max_configs, targets=(None,)
+):
+    """Every (root, P, stop_when) search on one explorer, with the run's
+    counters."""
+    from repro.obs import MetricsRegistry, observe
+
+    registry = MetricsRegistry()
+    system = fresh_system(protocol, system_class)
+    explorer = Explorer(system, max_configs=max_configs, strict=False)
+    with observe(metrics=registry):
+        results = [
+            result_fingerprint(explorer.explore(root, pids, target))
+            for root in roots
+            for pids in pid_sets
+            for target in targets
+        ]
+    explorer.close()
+    return results, registry.snapshot()["counters"]
+
+
+@pytest.mark.parametrize(
+    "protocol, inputs, visited",
+    [
+        (CommitAdoptRounds(2), [0, 1], 1_010),
+        (KSetPartition(3, 2), [0, 1, 2], 2_020),
+    ],
+    ids=["rounds:2", "kset:3:2"],
+)
+def test_round_shift_quotient_merges_rows(protocol, inputs, visited):
+    """P = everyone: no process is frozen, so the kernel must quotient.
+    Deduplicated on raw rows, the round drift runs to the budget
+    (20,001 visited) instead of closing at ``visited``."""
+    results = {}
+    for system_class in (System, InterpretedSystem):
+        result = explore_with(
+            protocol, system_class, inputs=inputs, max_configs=20_000
+        )
+        results[system_class] = result_fingerprint(result)
+        assert result.complete and result.visited == visited
+    assert results[System] == results[InterpretedSystem]
+
+
+def test_unpinned_subset_search_quotients():
+    """P = {1, 2} of kset:3:2: the one process outside P decides at
+    once and carries no round, so nothing pins the shift and the kernel
+    must quotient a proper subset too."""
+    protocol = KSetPartition(3, 2)
+    pids = [frozenset({1, 2})]
+    roots = [System(protocol).initial_configuration([0, 1, 2])]
+    compiled, counters = observed_explore(
+        protocol, System, roots, pids, max_configs=20_000
+    )
+    interp, _ = observed_explore(
+        protocol, InterpretedSystem, roots, pids, max_configs=20_000
+    )
+    assert compiled == interp
+    assert compiled[0][:2] == (1_010, True)
+    assert counters.get("kernel.dedup.canonical") == 1
+
+
+def advanced_roots(protocol, inputs, seeds, steps=20):
+    """Roots ``steps`` seeded random steps in, each with a process past
+    round 1, so a frozen process pins a shift base above 1."""
+    import random
+
+    system = System(protocol)
+    roots = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        config = system.initial_configuration(inputs)
+        for _ in range(steps):
+            live = [p for p in range(protocol.n) if system.enabled(config, p)]
+            config, _ = system.step(config, rng.choice(live))
+        rounds = [r for state in config.states for r in protocol.rounds_of(state)]
+        assert max(rounds) > 1
+        roots.append(config)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "protocol, inputs",
+    [
+        (CommitAdoptRounds(3), [0, 1, 1]),
+        (RandomizedRounds(3), [0, 1, 1]),
+        (KSetPartition(4, 2), [0, 1, 2, 3]),
+    ],
+    ids=["rounds:3", "randomized:3", "kset:4:2"],
+)
+def test_pinned_searches_are_bit_identical(protocol, inputs):
+    """Every proper non-empty P: a search whose root has a process
+    outside P carrying a round dedups raw rows on the kernel, and must
+    still return the interpreter's quotiented answer -- also when a
+    ``stop_when`` target ends it early, which only the stepping
+    process's decision can trigger."""
+    from itertools import combinations
+
+    roots = advanced_roots(protocol, inputs, seeds=range(3))
+    pid_sets = [
+        frozenset(pids)
+        for size in range(1, protocol.n)
+        for pids in combinations(range(protocol.n), size)
+    ]
+    targets = (None, frozenset({0}), frozenset({1}))
+    compiled, counters = observed_explore(
+        protocol, System, roots, pid_sets, 500, targets
+    )
+    interp, _ = observed_explore(
+        protocol, InterpretedSystem, roots, pid_sets, 500, targets
+    )
+    assert compiled == interp
+    assert counters.get("kernel.dedup.raw", 0) > 0
+
+
+def test_search_frees_its_arena():
+    """A search's rows are freed when it returns: the second search,
+    on an explorer the first one warmed, keeps a small share of its own
+    peak (the program's tables grow; the visited rows must not stay)."""
+    import tracemalloc
+
+    system = System(CommitAdoptRounds(5))
+    explorer = Explorer(system, max_configs=20_000, max_depth=60, strict=False)
+    explorer.explore(
+        system.initial_configuration([0, 1, 0, 1, 0]), frozenset({0, 1})
+    )
+    root = system.initial_configuration([1, 0, 0, 1, 1])
+    tracemalloc.start()
+    try:
+        result = explorer.explore(root, frozenset({0, 1, 2}))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        explorer.close()
+    assert result.visited == 20_001
+    assert retained < peak / 4, (retained, peak)
 
 
 def test_strict_limit_error_is_byte_identical():

@@ -1,10 +1,9 @@
 """The visited arena, kernel fallback recording, and the release of a
 closed kernel.
 
-``RowStore`` is an append-only list of packed rows under dense ids,
-with a ``row -> id`` index when ``indexed``; the end-to-end
-differentials in tests/test_kernel_differential.py check what the
-explorer builds on it.
+``RowStore`` is one search's append-only list of packed rows under
+dense ids, with a ``row -> id`` index; the end-to-end differentials in
+tests/test_kernel_differential.py check what the explorer builds on it.
 """
 
 import gc
@@ -22,20 +21,13 @@ def filled(store, count):
 
 class TestAppendGet:
     def test_ram_mode_identity(self):
-        store = RowStore(indexed=True)
+        store = RowStore()
         rows = filled(store, 50)
         assert len(store) == 50
         for rid, row in enumerate(rows):
-            assert store.get(rid) == row
-            assert store.find(row) == rid
-        assert store.find(12345) is None
-
-    def test_unindexed_store_is_pure_log(self):
-        store = RowStore(indexed=False)
-        rows = filled(store, 10)
-        assert len(store) == 10
-        assert [store.get(rid) for rid in range(10)] == rows
-        assert store.find is None
+            assert store.rows[rid] == row
+            assert store.index[row] == rid
+        assert store.index.get(12345) is None
 
 
 class TestObserveMany:

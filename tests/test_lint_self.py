@@ -164,10 +164,13 @@ class TestKernelHotPath:
         report = check_kernel_hot_path(root)
         assert report.by_code("kernel-hot-alloc")
 
-    @pytest.mark.parametrize("hook", ["rounds_of", "shift_rounds"])
+    @pytest.mark.parametrize(
+        "hook", ["rounds_of", "shift_rounds", "canonical_row"]
+    )
     def test_round_shift_hook_in_hot_loop_is_flagged(self, tmp_path, hook):
         """The hook pair is object-model code: the kernel reads it through
-        the compiler's tables, never per edge."""
+        the compiler's tables, never per edge, and canonicalises a row
+        only in a cold ``admit`` handler."""
         source = f"def _hot_base(protocol, state):\n    return protocol.{hook}(state)\n"
         root = self.seed_kernel(tmp_path, source)
         diags = check_kernel_hot_path(root).by_code("kernel-hot-alloc")
