@@ -3,15 +3,18 @@
 A successor under the compiled kernel is ``row + delta`` -- one big-int
 addition.  The compiler builds, per ``(pid, state-id)``, a *plan*::
 
-    None                                   process halted/decided
-    (PROBE, shift, table, op, pid, sid)
-        shared op or coin flip: ``cur = (row >> shift) & MASK`` reads
-        the affected field (register value id, or the pid's coin
-        counter); ``table[cur]`` is the precomputed delta.  A table
-        miss falls back to :meth:`CompiledProgram.effect_miss`, which
-        consults the object model once and memoises the delta forever.
-    (FIXED, 0, delta, op, pid, sid)
-        marker/local op with a constant response: one fixed delta.
+    None                            process halted/decided
+    (shift, table, op, pid, sid)    poised at ``op``
+
+``cur = (row >> shift) & MASK`` reads the field the step depends on,
+and ``table[cur]`` is the precomputed delta.  For a shared operation
+that field is the register's value id, for a coin flip the pid's coin
+counter; a table miss falls back to :meth:`CompiledProgram.effect_miss`,
+which consults the object model once and memoises the delta forever.
+A marker's response is constant, so its plan has the same shape with
+no field to read: ``shift`` points past the row's last field, where
+every row reads 0, and the table is ``{0: delta}`` from the start.
+Every plan is therefore probed the same way.
 
 ``TableProtocol`` lowers *statically*: the whole state/value universe
 is enumerated from the rule/transition/decision tables in a
@@ -45,10 +48,6 @@ from repro.model.registers import apply_operation
 from repro.model.system import System
 from repro.model.table import TableProtocol
 from repro.obs.runtime import get_metrics
-
-#: Plan modes (plan[0]).
-PROBE = 0
-FIXED = 1
 
 #: Fallback reason slugs, also used as ``kernel.fallback.<slug>`` metric
 #: suffixes and recorded in trace events.
@@ -195,23 +194,24 @@ class CompiledProgram:
         if op is None:
             plan = None
         elif isinstance(op, CoinFlip):
-            plan = (PROBE, codec.coin_shifts[pid], {}, op, pid, sid)
+            plan = (codec.coin_shifts[pid], {}, op, pid, sid)
         elif isinstance(op, Marker):
             new_state = self.protocol.transition(pid, state, None)
             delta = (codec.state_id(new_state) - sid) << codec.state_shifts[pid]
-            plan = (FIXED, 0, delta, op, pid, sid)
+            past_last_field = codec.field_count * codec.field_bits
+            plan = (past_last_field, {0: delta}, op, pid, sid)
         else:
             obj = op.obj
             if obj is None or not 0 <= obj < len(self.kinds):
                 raise ModelError(f"operation {op!r} names bad object {obj!r}")
-            plan = (PROBE, codec.mem_shifts[obj], {}, op, pid, sid)
+            plan = (codec.mem_shifts[obj], {}, op, pid, sid)
         self.plans[pid][sid] = plan
         return plan
 
     def effect_miss(self, plan, cur: int) -> int:
         """Compute (and memoise) the delta for ``plan`` at field ``cur``."""
         codec = self.codec
-        _, shift, table, op, pid, sid = plan
+        shift, table, op, pid, sid = plan
         state = codec.states[sid]
         if isinstance(op, CoinFlip):
             # ``cur`` is the pid's coin counter; the tape is pure.
@@ -328,7 +328,7 @@ class CompiledProgram:
         for pid in range(self.n):
             for sid in range(len(codec.states)):
                 plan = self.plan_miss(pid, sid)
-                if plan is None or plan[0] != PROBE:
+                if plan is None:
                     continue
-                for cur in sorted(possible_ids[plan[3].obj]):
+                for cur in sorted(possible_ids[plan[2].obj]):
                     self.effect_miss(plan, cur)

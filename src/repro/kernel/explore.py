@@ -42,14 +42,23 @@ it returns:
   ancestor or at the root.  A discovery probes only the stepping pid's
   decision table and re-tests ``stop_when`` only when ``found`` grew.
 
+* *Per-level bookkeeping*: the log pops records in non-decreasing
+  depth, so the loop runs one BFS level at a time and mirrors
+  ``Explorer.explore`` per level: the ``max_depth`` test, the depth
+  bits of the records a level appends and its ``level_sizes`` entry
+  are computed once per level, and edge, dedup and pop counts live in
+  locals until the loop exits.
+
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
 ``Configuration`` construction, no pack/unpack, no comprehensions --
-per-edge work is shifts, masks, one big-int add and dict probes.  Cold
-paths (plan/effect misses, canonicalisation of novel rows) are the
-``*_miss``/``admit`` handlers the loop delegates to.  Solo runs (the
-valency oracle's solo probes) walk the same plan and effect tables in
-:func:`_hot_solo`, under the same contract.
+per-edge work is shifts, masks, one big-int add and dict probes.  Every
+plan is probed alike (see :mod:`repro.kernel.compiler`), and a raw-dedup
+discovery is written to the arena inline.  Cold paths (plan/effect
+misses, canonicalisation of novel rows) are the ``*_miss``/``admit``
+handlers the loop delegates to.  Solo runs (the valency oracle's solo
+probes) walk the same plan and effect tables in :func:`_hot_solo`,
+under the same contract.
 """
 
 from __future__ import annotations
@@ -93,14 +102,11 @@ def _hot_expand(
     rows,
     index,
     admit,
-    plans,
+    lanes,
     plan_miss,
     effect_miss,
-    decisions,
     found,
     stop_when,
-    sorted_pids,
-    state_shifts,
     field_mask,
     level_sizes,
     branch_counts,
@@ -112,85 +118,121 @@ def _hot_expand(
 ):
     """Expand the whole frontier; returns "done"/"stopped"/"limit".
 
-    ``ctr`` accumulates [edges, dedup, truncated, pops] so the
-    caller can flush metrics exactly once (including on a raise, where
-    the interpreted loop's incremental counter updates are also already
-    committed).  Order of operations per popped record and per pid
-    mirrors ``Explorer.explore`` statement for statement, except that a
+    ``lanes`` holds one ``(pid, plans, state_shift, decisions,
+    pid << 64)`` tuple per pid of P, in pid order.  ``admit`` is None
+    for a raw-dedup search, whose discoveries are written to ``rows``
+    and ``index`` here, or a quotient search's cold handler.
+
+    The loop runs one BFS level at a time.  The log is the FIFO queue,
+    so records pop in non-decreasing depth: depth, the depth bits of
+    the records a level appends, the ``max_depth`` test and the
+    level's ``level_sizes`` entry are per-level facts.  Within a level,
+    the order of operations per popped record and per pid mirrors
+    ``Explorer.explore`` statement for statement, except that a
     discovery probes only the stepping pid's decisions.
+
+    ``ctr`` receives [edges, dedup, truncated, pops]; the counts are
+    kept in locals and written once, in a ``finally``, so the caller
+    flushes exact metrics also on a raise, where the interpreted
+    loop's incremental counter updates are likewise already committed.
     """
     log_append = log.append
-    # Two masks: the frontier-log record layout is fixed at 32-bit
-    # fields regardless of codec narrowing; packed-row fields use the
-    # codec's (possibly narrowed) width.
-    mask = FIELD_MASK
+    rows_append = rows.append
     fmask = field_mask
+    edges = dups = 0
     qi = 0
     total = 1
-    while qi < total:
-        entry = log[qi]
-        row = rows[qi]
-        qi += 1
-        if budget is not None:
-            budget.tick()
-        depth = (entry >> 32) & mask
-        if max_depth is not None and depth >= max_depth:
-            ctr[2] = 1
-            continue
-        ctr[3] += 1
-        nd = depth + 1
-        record = qi | (nd << 32)
-        branch = 0
-        for pid in sorted_pids:
-            pplans = plans[pid]
-            sid = (row >> state_shifts[pid]) & fmask
-            plan = pplans.get(sid, _MISS)
-            if plan is _MISS:
-                plan = plan_miss(pid, sid)
-            if plan is None:
-                continue
-            branch += 1
-            ctr[0] += 1
-            if plan[0] == 0:
-                shift = plan[1]
-                cur = (row >> shift) & fmask
-                delta = plan[2].get(cur, _MISS)
-                if delta is _MISS:
-                    delta = effect_miss(plan, cur)
-                succ = row + delta
-            else:
-                succ = row + plan[2]
-            lid = None if succ in index else admit(succ)
-            if lid is None:
-                ctr[1] += 1
-                continue
-            log_append(record | (pid << 64))
-            total += 1
-            if total > max_configs:
-                if strict:
-                    pids_list = sorted(sorted_pids)
-                    get_tracer().event(
-                        "exploration_limit",
-                        visited=total,
-                        max_configs=max_configs,
-                        pids=pids_list,
-                    )
-                    raise ExplorationLimitError(
-                        f"exploration from root exceeded "
-                        f"{max_configs} configurations "
-                        f"(pids={pids_list})",
-                        visited=total,
-                    )
+    depth = 0
+    pops = None
+    try:
+        while qi < total:
+            if max_depth is not None and depth >= max_depth:
+                # Every record left sits at this depth: each pop is
+                # billed and skipped.
+                pops = qi
                 ctr[2] = 1
-                return "limit"
-            value = decisions[pid].get((succ >> state_shifts[pid]) & fmask)
-            if value is not None and value not in found:
-                found[value] = lid
-                if stop_when is not None and stop_when <= found.keys():
-                    return "stopped"
-            level_sizes[nd] = level_sizes.get(nd, 0) + 1
-        branch_counts[branch] = branch_counts.get(branch, 0) + 1
-    return "done"
+                if budget is not None:
+                    for _ in range(total - qi):
+                        budget.tick()
+                return "done"
+            level_end = total
+            depth += 1
+            depth_bits = depth << 32
+            while qi < level_end:
+                row = rows[qi]
+                qi += 1
+                if budget is not None:
+                    budget.tick()
+                record = qi | depth_bits
+                before = edges
+                for pid, pplans, shift, pdecisions, pid_bits in lanes:
+                    sid = (row >> shift) & fmask
+                    plan = pplans.get(sid, _MISS)
+                    if plan is _MISS:
+                        plan = plan_miss(pid, sid)
+                    if plan is None:
+                        continue
+                    edges += 1
+                    cur = (row >> plan[0]) & fmask
+                    delta = plan[1].get(cur, _MISS)
+                    if delta is _MISS:
+                        delta = effect_miss(plan, cur)
+                    succ = row + delta
+                    if succ in index:
+                        dups += 1
+                        continue
+                    if admit is None:
+                        index[succ] = total
+                        rows_append(succ)
+                    elif admit(succ) is None:
+                        dups += 1
+                        continue
+                    log_append(record | pid_bits)
+                    lid = total
+                    total += 1
+                    if total > max_configs:
+                        if strict:
+                            _limit_exceeded(lanes, total, max_configs)
+                        ctr[2] = 1
+                        _level_size(level_sizes, depth, total - 1 - level_end)
+                        return "limit"
+                    value = pdecisions.get((succ >> shift) & fmask)
+                    if value is not None and value not in found:
+                        found[value] = lid
+                        if stop_when is not None and stop_when <= found.keys():
+                            _level_size(
+                                level_sizes, depth, total - 1 - level_end
+                            )
+                            return "stopped"
+                branch_counts[edges - before] += 1
+            _level_size(level_sizes, depth, total - level_end)
+        return "done"
+    finally:
+        ctr[0] = edges
+        ctr[1] = dups
+        ctr[3] = qi if pops is None else pops
+
+
+def _level_size(level_sizes, depth, size):
+    """Record a level's discoveries; a level with none gets no entry."""
+    if size:
+        level_sizes[depth] = size
+
+
+def _limit_exceeded(lanes, visited, max_configs):
+    """Raise the strict search's :class:`ExplorationLimitError`."""
+    pids = [lane[0] for lane in lanes]
+    get_tracer().event(
+        "exploration_limit",
+        visited=visited,
+        max_configs=max_configs,
+        pids=pids,
+    )
+    raise ExplorationLimitError(
+        f"exploration from root exceeded {max_configs} configurations "
+        f"(pids={pids})",
+        visited=visited,
+    )
 
 
 def _hot_solo(
@@ -209,14 +251,11 @@ def _hot_solo(
             plan = plan_miss(pid, sid)
         if plan is None:
             return steps - 1, None
-        if plan[0] == 0:
-            cur = (row >> plan[1]) & fmask
-            delta = plan[2].get(cur, _MISS)
-            if delta is _MISS:
-                delta = effect_miss(plan, cur)
-            row += delta
-        else:
-            row += plan[2]
+        cur = (row >> plan[0]) & fmask
+        delta = plan[1].get(cur, _MISS)
+        if delta is _MISS:
+            delta = effect_miss(plan, cur)
+        row += delta
         value = pdecisions.get((row >> shift) & fmask)
         if value is not None:
             return steps, value
@@ -309,7 +348,6 @@ class KernelExplorer:
         dedup_c = metrics.counter("explorer.dedup_hits")
         branching_h = metrics.histogram("explorer.branching", BRANCHING_EDGES)
         level_sizes = {0: 1}
-        branch_counts: dict = {}
         ctr = [0, 0, 0, 0]  # edges, dedup, truncated, pops
 
         row0 = codec.pack(root)
@@ -317,7 +355,7 @@ class KernelExplorer:
         dedup = self._dedup(row0, pid_set)
         metrics.counter(f"kernel.dedup.{dedup}").inc()
         if dedup == "raw":
-            admit = store.append
+            admit = None
         elif dedup == "canonical":
             admit = _quotient_admit(store, program.canonical_row)
         else:
@@ -327,11 +365,19 @@ class KernelExplorer:
                 store,
                 lambda row: protocol.canonical_query_key(unpack(row), pid_set),
             )
-        admit(row0)
+        if admit is None:
+            store.append(row0)
+        else:
+            admit(row0)
         log = [0]  # root record: parent1=0, depth=0
         found: dict = {}
         state_shifts = codec.state_shifts
         decisions = program.decisions
+        lanes = tuple(
+            (pid, program.plans[pid], state_shifts[pid], decisions[pid], pid << 64)
+            for pid in sorted(pid_set)
+        )
+        branch_counts = [0] * (len(lanes) + 1)
 
         for pid in range(program.n):
             value = decisions[pid].get(
@@ -373,14 +419,11 @@ class KernelExplorer:
                 store.rows,
                 store.index,
                 admit,
-                program.plans,
+                lanes,
                 program.plan_miss,
                 program.effect_miss,
-                decisions,
                 found,
                 stop_when,
-                sorted(pid_set),
-                state_shifts,
                 codec.field_mask,
                 level_sizes,
                 branch_counts,
@@ -399,5 +442,6 @@ class KernelExplorer:
             # already committed.
             edges_c.inc(ctr[0])
             dedup_c.inc(ctr[1])
-            for branch in branch_counts:
-                branching_h.observe_many(branch, branch_counts[branch])
+            for branch, count in enumerate(branch_counts):
+                if count:
+                    branching_h.observe_many(branch, count)

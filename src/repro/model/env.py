@@ -17,12 +17,22 @@ class Env(Mapping[str, Hashable]):
     __slots__ = ("_items", "_lookup", "_hash")
 
     def __init__(self, mapping: Mapping[str, Hashable] | None = None):
-        lookup: Dict[str, Hashable] = dict(mapping) if mapping else {}
+        self._adopt(dict(mapping) if mapping else {})
+
+    @classmethod
+    def of_dict(cls, lookup: Dict[str, Hashable]) -> "Env":
+        """An environment over ``lookup`` itself, not a copy: the caller
+        hands the dict over and must not touch it again."""
+        env = cls.__new__(cls)
+        env._adopt(lookup)
+        return env
+
+    def _adopt(self, lookup: Dict[str, Hashable]) -> None:
         object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(
-            self, "_items", tuple(sorted(lookup.items(), key=lambda kv: kv[0]))
-        )
-        object.__setattr__(self, "_hash", hash(self._items))
+        # Names are unique, so sorting the pairs never compares values.
+        items = tuple(sorted(lookup.items()))
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_hash", hash(items))
 
     # -- Mapping interface -------------------------------------------------
     def __getitem__(self, key: str) -> Hashable:
@@ -44,7 +54,7 @@ class Env(Mapping[str, Hashable]):
             return self
         new = dict(self._lookup)
         new[key] = value
-        return Env(new)
+        return Env.of_dict(new)
 
     def update(self, mapping: Mapping[str, Hashable]) -> "Env":
         """Return a copy with every binding in ``mapping`` applied."""
@@ -52,7 +62,7 @@ class Env(Mapping[str, Hashable]):
             return self
         new = dict(self._lookup)
         new.update(mapping)
-        return Env(new)
+        return Env.of_dict(new)
 
     # -- value semantics ---------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -23,12 +23,19 @@ argument: "process p covers register r" is a statement about the next
 
 Program state is ``ProcState(pc, env)`` with an immutable :class:`Env`,
 hence hashable, hence usable by the valency oracle.
+
+:class:`ProgramProtocol` compiles to this interface once per program
+object, on first use, into per-pc blocks of local instructions
+(:class:`_Code`).  They compute exactly the transition function of the
+instruction-at-a-time reading above, which ``tests/dsl_reference.py``
+keeps as a reference interpreter to check them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProgramError
 from repro.model.env import Env
@@ -46,19 +53,14 @@ from repro.model.operations import (
 from repro.model.process import DecidedState, HALTED, Protocol
 from repro.model.registers import ObjectSpec
 
-#: Instruction operands: either a constant or a function of the local env.
-Expr = Union[Hashable, Callable[[Env], Hashable]]
+#: Instruction operands: either a constant or a pure function of the
+#: locals, which it reads as ``e[name]`` through a read-only mapping it
+#: must not keep.
+Expr = Union[Hashable, Callable[[Mapping[str, Hashable]], Hashable]]
 
 #: Safety bound on consecutive local (step-free) instructions, so that a
 #: local infinite loop raises instead of hanging the simulator.
 MAX_LOCAL_STEPS = 100_000
-
-
-def _eval(expr: Expr, env: Env) -> Hashable:
-    """Evaluate an operand: call it on the env if callable, else constant."""
-    if callable(expr):
-        return expr(env)
-    return expr
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +137,7 @@ class IGoto(Instr):
 
 @dataclass(frozen=True)
 class IBranchIf(Instr):
-    cond: Callable[[Env], bool]
+    cond: Callable[[Mapping[str, Hashable]], bool]
     label: str
 
 
@@ -274,7 +276,7 @@ class ProgramBuilder:
         return self
 
     def branch_if(
-        self, cond: Callable[[Env], bool], label: str
+        self, cond: Callable[[Mapping[str, Hashable]], bool], label: str
     ) -> "ProgramBuilder":
         self._instructions.append(IBranchIf(cond, label))
         return self
@@ -313,6 +315,10 @@ class ProgramProtocol(Protocol):
         ``initial_env(pid, input_value) -> Mapping`` giving the initial
         local variables of each process; typically binds the input and,
         for non-anonymous protocols, the pid.
+
+    Each program is compiled to per-pc :class:`_Code` on first use and
+    kept on this instance (``_codes[pid]``; processes running the same
+    program object share one).
     """
 
     def __init__(
@@ -332,6 +338,7 @@ class ProgramProtocol(Protocol):
         self._specs = tuple(specs)
         self._programs = tuple(programs)
         self._initial_env = initial_env
+        self._codes: List[Optional[_Code]] = [None] * n
 
     def object_specs(self) -> Tuple[ObjectSpec, ...]:
         return self._specs
@@ -341,93 +348,197 @@ class ProgramProtocol(Protocol):
 
     # -- automaton interface -------------------------------------------------
     def initial_state(self, pid: int, input_value: Hashable) -> Hashable:
-        env = Env(self._initial_env(pid, input_value))
-        return self._normalize(pid, ProcState(0, env))
+        code = self._codes[pid] or self._compile(pid)
+        local = dict(self._initial_env(pid, input_value))
+        return code.run(pid, 0, local)
 
     def poised(self, pid: int, state: Hashable) -> Optional[Operation]:
         if isinstance(state, DecidedState):
             return None
-        instr = self._instruction_at(pid, state)
-        return self._operation_for(instr, state.env)
+        code = self._codes[pid] or self._compile(pid)
+        return code.step_at(pid, state.pc)[0](state.env)
 
     def transition(self, pid: int, state: Hashable, response: Hashable) -> Hashable:
         if isinstance(state, DecidedState):
             raise ProgramError("transition on a halted process")
-        instr = self._instruction_at(pid, state)
-        env = state.env
-        dest = getattr(instr, "dest", None)
+        code = self._codes[pid] or self._compile(pid)
+        pc = state.pc
+        dest = code.step_at(pid, pc)[1]
+        local = dict(state.env._lookup)
         if dest is not None:
-            env = env.set(dest, response)
-        return self._normalize(pid, ProcState(state.pc + 1, env))
+            _bind(local, dest, response)
+        return code.run(pid, pc + 1, local)
 
-    # -- internals -------------------------------------------------------------
-    def _instruction_at(self, pid: int, state: ProcState) -> Instr:
+    def _compile(self, pid: int) -> "_Code":
         program = self._programs[pid]
-        if not 0 <= state.pc < len(program.instructions):
-            raise ProgramError(
-                f"pc {state.pc} out of range for process {pid} "
-                f"(program has {len(program.instructions)} instructions; "
-                "did the program fall off the end without halt/decide?)"
-            )
-        return program.instructions[state.pc]
+        for other, code in enumerate(self._codes):
+            if code is not None and self._programs[other] is program:
+                break
+        else:
+            code = _Code(program)
+        self._codes[pid] = code
+        return code
 
-    @staticmethod
-    def _operation_for(instr: Instr, env: Env) -> Operation:
-        if isinstance(instr, IRead):
-            return Read(int(_eval(instr.reg, env)))
-        if isinstance(instr, IWrite):
-            return Write(int(_eval(instr.reg, env)), _eval(instr.value, env))
-        if isinstance(instr, ISwap):
-            return Swap(int(_eval(instr.reg, env)), _eval(instr.value, env))
-        if isinstance(instr, ITestAndSet):
-            return TestAndSet(int(_eval(instr.reg, env)))
-        if isinstance(instr, ICompareAndSwap):
-            return CompareAndSwap(
-                int(_eval(instr.reg, env)),
-                _eval(instr.expected, env),
-                _eval(instr.new, env),
-            )
-        if isinstance(instr, IFetchAndAdd):
-            return FetchAndAdd(
-                int(_eval(instr.reg, env)), int(_eval(instr.delta, env))
-            )
-        if isinstance(instr, IFlip):
-            return CoinFlip()
-        if isinstance(instr, IMarker):
-            return Marker(instr.text)
-        raise ProgramError(f"instruction {instr!r} is not a step")
 
-    def _normalize(self, pid: int, state: ProcState) -> Hashable:
-        """Run local instructions until poised at a step (or terminal)."""
-        program = self._programs[pid]
+# --------------------------------------------------------------------------
+# Compiled programs.  A *block* is the run of local instructions starting
+# at one pc: its assignments up to the next step, branch, goto, decide or
+# halt (or the program's end), which ends it.
+# --------------------------------------------------------------------------
+
+_UNBOUND = object()
+
+#: How a block ends.
+_STEP, _BRANCH, _GOTO, _DECIDE, _HALT, _END = range(6)
+
+
+def _bind(local: dict, dest: str, value: Hashable) -> None:
+    """``Env.set``'s rule: a name already bound to an equal value keeps
+    its object (``1`` stays ``1`` when ``True`` arrives)."""
+    old = local.get(dest, _UNBOUND)
+    if old is _UNBOUND or not old == value:
+        local[dest] = value
+
+
+def _operand(expr: Expr) -> Callable[[Mapping[str, Hashable]], Hashable]:
+    """An operand as a function of the locals; constants are wrapped."""
+    if callable(expr):
+        return expr
+    return lambda _locals: expr
+
+
+def _operation_builder(instr: Instr):
+    """``locals -> Operation`` for a step instruction."""
+    if isinstance(instr, IRead):
+        reg = _operand(instr.reg)
+        return lambda e: Read(int(reg(e)))
+    if isinstance(instr, IWrite):
+        reg, value = _operand(instr.reg), _operand(instr.value)
+        return lambda e: Write(int(reg(e)), value(e))
+    if isinstance(instr, ISwap):
+        reg, value = _operand(instr.reg), _operand(instr.value)
+        return lambda e: Swap(int(reg(e)), value(e))
+    if isinstance(instr, ITestAndSet):
+        reg = _operand(instr.reg)
+        return lambda e: TestAndSet(int(reg(e)))
+    if isinstance(instr, ICompareAndSwap):
+        reg = _operand(instr.reg)
+        expected, new = _operand(instr.expected), _operand(instr.new)
+        return lambda e: CompareAndSwap(int(reg(e)), expected(e), new(e))
+    if isinstance(instr, IFetchAndAdd):
+        reg, delta = _operand(instr.reg), _operand(instr.delta)
+        return lambda e: FetchAndAdd(int(reg(e)), int(delta(e)))
+    # Operations are frozen values: one instance serves every call.
+    operation = CoinFlip() if isinstance(instr, IFlip) else Marker(instr.text)
+    return lambda _e: operation
+
+
+class _Code:
+    """One program resolved per pc.
+
+    ``steps[pc]`` is ``(build, dest)`` for a step instruction: ``build``
+    maps the locals to the poised operation, ``dest`` names the local
+    receiving the response (or is None).  ``blocks[pc]``, for every pc
+    up to the program's length, is the block starting there::
+
+        (assigns, end, at, fn, target)
+
+    ``assigns`` holds ``(dest, operand)`` pairs; ``end`` is the kind of
+    instruction ending the block and ``at`` its pc; ``fn`` is a branch's
+    condition or a decision's operand; ``target`` is a jump's resolved
+    pc, None for an undefined label (which raises when taken).
+    """
+
+    __slots__ = ("instructions", "steps", "blocks")
+
+    def __init__(self, program: Program):
         instructions = program.instructions
-        pc, env = state.pc, state.env
-        for _ in range(MAX_LOCAL_STEPS):
-            if not 0 <= pc < len(instructions):
-                raise ProgramError(
-                    f"pc {pc} out of range for process {pid}; programs must "
-                    "end in halt/decide/goto"
-                )
+        labels = program.labels
+        self.instructions = instructions
+        self.steps = {
+            pc: (_operation_builder(instr), getattr(instr, "dest", None))
+            for pc, instr in enumerate(instructions)
+            if isinstance(instr, _STEP_INSTRS)
+        }
+        blocks: list = [((), _END, len(instructions), None, None)]
+        for pc in reversed(range(len(instructions))):
             instr = instructions[pc]
-            if isinstance(instr, _STEP_INSTRS):
-                return ProcState(pc, env)
             if isinstance(instr, IAssign):
-                env = env.set(instr.dest, _eval(instr.value, env))
-                pc += 1
+                assigns, *end = blocks[-1]
+                pair = (instr.dest, _operand(instr.value))
+                blocks.append(((pair, *assigns), *end))
+            elif isinstance(instr, _STEP_INSTRS):
+                blocks.append(((), _STEP, pc, None, None))
             elif isinstance(instr, IGoto):
-                pc = program.target(instr.label)
+                blocks.append(((), _GOTO, pc, None, labels.get(instr.label)))
             elif isinstance(instr, IBranchIf):
-                pc = program.target(instr.label) if instr.cond(env) else pc + 1
+                target = labels.get(instr.label)
+                blocks.append(((), _BRANCH, pc, instr.cond, target))
             elif isinstance(instr, IDecide):
-                return DecidedState(value=_eval(instr.value, env))
+                blocks.append(((), _DECIDE, pc, _operand(instr.value), None))
             elif isinstance(instr, IHalt):
-                return HALTED
-            else:  # pragma: no cover - exhaustive over instruction kinds
+                blocks.append(((), _HALT, pc, None, None))
+            else:
                 raise ProgramError(f"unknown instruction {instr!r}")
-        raise ProgramError(
-            f"more than {MAX_LOCAL_STEPS} consecutive local instructions for "
-            f"process {pid}: local infinite loop?"
-        )
+        blocks.reverse()
+        self.blocks = blocks
+
+    def step_at(self, pid: int, pc: int):
+        """``steps[pc]``; a state elsewhere was not built by this code."""
+        step = self.steps.get(pc)
+        if step is None:
+            raise ProgramError(
+                f"pc {pc} of process {pid} is not a step of its program "
+                f"({len(self.instructions)} instructions)"
+            )
+        return step
+
+    def run(self, pid: int, pc: int, local: dict) -> Hashable:
+        """Run blocks from ``pc`` over ``local`` until a step, decide or
+        halt; ``local`` becomes the new state's environment.
+
+        ``left`` counts down the local instructions still allowed
+        (:data:`MAX_LOCAL_STEPS`), so a local infinite loop raises
+        after exactly the instructions an instruction-at-a-time
+        interpreter would have run.
+        """
+        blocks = self.blocks
+        view = MappingProxyType(local)
+        left = MAX_LOCAL_STEPS
+        while True:
+            assigns, end, at, fn, target = blocks[pc]
+            if len(assigns) >= left:
+                for dest, value in assigns[:left]:
+                    _bind(local, dest, value(view))
+                raise ProgramError(
+                    f"more than {MAX_LOCAL_STEPS} consecutive local "
+                    f"instructions for process {pid}: local infinite loop?"
+                )
+            for dest, value in assigns:  # _bind, inlined
+                value = value(view)
+                old = local.get(dest, _UNBOUND)
+                if old is _UNBOUND or not old == value:
+                    local[dest] = value
+            if end == _STEP:
+                return ProcState(at, Env.of_dict(local))
+            if end == _BRANCH and not fn(view):
+                pc = at + 1
+            elif end == _BRANCH or end == _GOTO:
+                if target is None:
+                    raise ProgramError(
+                        f"undefined label {self.instructions[at].label!r}"
+                    )
+                pc = target
+            elif end == _DECIDE:
+                return DecidedState(value=fn(view))
+            elif end == _HALT:
+                return HALTED
+            else:
+                raise ProgramError(
+                    f"pc {at} out of range for process {pid}; programs "
+                    "must end in halt/decide/goto"
+                )
+            left -= len(assigns) + 1
 
 
 def anonymous_programs(program: Program, n: int) -> Tuple[Program, ...]:

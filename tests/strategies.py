@@ -4,8 +4,13 @@
 (:class:`repro.model.table.TableProtocol` -- well-formed step machines,
 not necessarily correct consensus protocols).  The kernel
 differential, the codec tests and the observability properties draw
-their automata from it.
+their automata from it.  ``random_configs`` samples the configurations
+of any protocol along seeded random executions, and
+``assert_metrics_equal`` compares the explorer instruments two engines
+must count alike.
 """
+
+import random
 
 from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
@@ -63,3 +68,48 @@ def fresh_system(protocol, system_class=System):
     fresh system, as a later run would see it."""
     args, kwargs = protocol._ctor_args
     return system_class(type(protocol)(*args, **kwargs))
+
+
+def random_configs(protocol, inputs, seed, count, length):
+    """Sample configurations along random executions."""
+    system = System(protocol)
+    rng = random.Random(seed)
+    pids = list(range(protocol.n))
+    configs = []
+    for _ in range(count):
+        config = system.initial_configuration(inputs)
+        for _ in range(rng.randint(0, length)):
+            live = [p for p in pids if system.enabled(config, p)]
+            if not live:
+                break
+            config, _ = system.step(config, rng.choice(live))
+        configs.append(config)
+    return system, configs
+
+
+#: The engine-independent instruments the equality argument covers.
+COMPARED_COUNTERS = (
+    "explorer.edges",
+    "explorer.dedup_hits",
+    "explorer.explorations",
+    "explorer.visited",
+)
+COMPARED_HISTOGRAMS = ("explorer.branching", "explorer.frontier")
+
+
+def assert_metrics_equal(expected, got):
+    for name in COMPARED_COUNTERS:
+        assert got["counters"].get(name) == expected["counters"].get(
+            name
+        ), name
+    for name in COMPARED_HISTOGRAMS:
+        want_h = expected["histograms"].get(name)
+        got_h = got["histograms"].get(name)
+        assert (want_h is None) == (got_h is None), name
+        if want_h is not None:
+            assert got_h["counts"] == want_h["counts"], name
+            assert got_h["count"] == want_h["count"], name
+            assert got_h["sum"] == want_h["sum"], name
+    assert got["gauges"].get("explorer.frontier_peak") == expected[
+        "gauges"
+    ].get("explorer.frontier_peak")

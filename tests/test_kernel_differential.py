@@ -31,6 +31,7 @@ from repro.errors import BudgetExhausted, ExplorationLimitError
 from repro.faults.budget import Budget
 from repro.fuzz.oracle import input_vectors
 from repro.model.system import InterpretedSystem, System
+from repro.mutex import BakeryMutex, PetersonFilter, TournamentMutex
 from repro.protocols.consensus import (
     CasConsensus,
     CommitAdoptRounds,
@@ -41,7 +42,9 @@ from repro.protocols.consensus import (
 from tests.strategies import (
     DIFFERENTIAL,
     VALUES,
+    assert_metrics_equal,
     fresh_system,
+    random_configs,
     table_protocols,
 )
 
@@ -313,6 +316,81 @@ def test_pinned_searches_are_bit_identical(protocol, inputs):
     )
     assert compiled == interp
     assert counters.get("kernel.dedup.raw", 0) > 0
+
+
+#: (label, Explorer keywords, stop_when): every way a search ends early.
+SEARCH_CUTS = [
+    ("depth-4", {"max_depth": 4, "max_configs": 50_000}, None),
+    ("depth-9", {"max_depth": 9, "max_configs": 50_000}, None),
+    ("limit-300", {"max_configs": 300}, None),
+    ("limit-777", {"max_configs": 777}, None),
+    ("stop-0", {"max_configs": 2_000}, frozenset({0})),
+    ("stop-1", {"max_configs": 2_000}, frozenset({1})),
+]
+
+
+def metered_search(system, root, pids, stop_when, cut):
+    """One non-strict search under its own registry: the fingerprint
+    and the metrics snapshot."""
+    from repro.obs import MetricsRegistry, observe
+
+    registry = MetricsRegistry()
+    explorer = Explorer(system, strict=False, **cut)
+    try:
+        with observe(metrics=registry):
+            result = explorer.explore(root, pids, stop_when)
+    finally:
+        explorer.close()
+    return result_fingerprint(result), registry.snapshot()
+
+
+def assert_cut_searches_match(protocol, roots, pid_sets, cut, stop_when):
+    compiled = System(protocol)
+    interpreted = InterpretedSystem(protocol)
+    for root in roots:
+        for pids in pid_sets:
+            got, got_metrics = metered_search(compiled, root, pids, stop_when, cut)
+            want, want_metrics = metered_search(
+                interpreted, root, pids, stop_when, cut
+            )
+            assert got == want, (root, sorted(pids))
+            assert_metrics_equal(want_metrics, got_metrics)
+
+
+@pytest.mark.parametrize(
+    "cut, stop_when",
+    [(cut, stop_when) for _, cut, stop_when in SEARCH_CUTS],
+    ids=[label for label, _, _ in SEARCH_CUTS],
+)
+@pytest.mark.parametrize("spec", ["rounds:3", "racing:3", "randomized:3"])
+def test_cut_searches_match_interpreter(spec, cut, stop_when):
+    """Fingerprints and the explorer metrics of searches that end at
+    the depth bound, the non-strict limit or a ``stop_when`` target --
+    the exits every CLI search (depth 60) can take -- from seeded
+    roots, with P = {0, 1} (raw rows) and P = everyone."""
+    protocol = parse_protocol(spec)
+    _, roots = random_configs(protocol, [0, 1, 1], 3, 3, 12)
+    pid_sets = [frozenset({0, 1}), frozenset(range(protocol.n))]
+    assert_cut_searches_match(protocol, roots, pid_sets, cut, stop_when)
+
+
+@pytest.mark.parametrize(
+    "cut, stop_when",
+    [(cut, stop_when) for _, cut, stop_when in SEARCH_CUTS],
+    ids=[label for label, _, _ in SEARCH_CUTS],
+)
+@pytest.mark.parametrize(
+    "make",
+    [PetersonFilter, TournamentMutex, BakeryMutex],
+    ids=["peterson:2", "tournament-mutex:2", "bakery:2"],
+)
+def test_marker_searches_match_interpreter(make, cut, stop_when):
+    """Mutex programs step through markers, whose plans have no field
+    to read; no table protocol issues one."""
+    protocol = make(2)
+    _, roots = random_configs(protocol, [None, None], 3, 3, 12)
+    pid_sets = [frozenset(range(protocol.n))]
+    assert_cut_searches_match(protocol, roots, pid_sets, cut, stop_when)
 
 
 def test_search_frees_its_arena():

@@ -16,7 +16,7 @@ from repro.analysis.explorer import Explorer
 from repro.model.system import InterpretedSystem, System
 from repro.obs import MetricsRegistry, observe
 
-from tests.strategies import table_protocols
+from tests.strategies import assert_metrics_equal, table_protocols
 
 PROPERTY = settings(
     max_examples=25,
@@ -24,39 +24,12 @@ PROPERTY = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: The engine-independent instruments the equality argument covers.
-COMPARED_COUNTERS = (
-    "explorer.edges",
-    "explorer.dedup_hits",
-    "explorer.explorations",
-    "explorer.visited",
-)
-COMPARED_HISTOGRAMS = ("explorer.branching", "explorer.frontier")
-
 
 def explore_with_metrics(make_explorer, root, pids):
     registry = MetricsRegistry()
     with observe(metrics=registry):
         result = make_explorer().explore(root, pids)
     return result, registry.snapshot()
-
-
-def assert_metrics_equal(expected, got):
-    for name in COMPARED_COUNTERS:
-        assert got["counters"].get(name) == expected["counters"].get(
-            name
-        ), name
-    for name in COMPARED_HISTOGRAMS:
-        want_h = expected["histograms"].get(name)
-        got_h = got["histograms"].get(name)
-        assert (want_h is None) == (got_h is None), name
-        if want_h is not None:
-            assert got_h["counts"] == want_h["counts"], name
-            assert got_h["count"] == want_h["count"], name
-            assert got_h["sum"] == want_h["sum"], name
-    assert got["gauges"].get("explorer.frontier_peak") == expected[
-        "gauges"
-    ].get("explorer.frontier_peak")
 
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))
