@@ -1,6 +1,6 @@
 """E22 -- abstract interpretation cost and what it buys.
 
-Three claims backed by numbers:
+Two claims backed by numbers:
 
 * the fixpoint is cheap: a full static certificate (overall + per-input
   analyses + verdicts) for any zoo specimen costs far less than one
@@ -8,10 +8,7 @@ Three claims backed by numbers:
   context;
 * the verdicts carry weight: a measured fraction of the checked-in zoo
   is statically refuted -- those refutations are machine-checked
-  certificates, not heuristics;
-* codec narrowing is real: for every compilable specimen the abstract
-  universes let the packed codec drop from 32-bit to 8-bit fields, and
-  the per-row byte saving is reported (and asserted) per specimen.
+  certificates, not heuristics.
 
 Standalone:  python benchmarks/bench_absint.py [repeats]
 Benchmark:   pytest benchmarks/bench_absint.py --benchmark-only
@@ -26,9 +23,6 @@ from pathlib import Path
 from repro.absint import static_certificate
 from repro.analysis.report import print_table
 from repro.fuzz.zoo import Zoo
-from repro.kernel.codec import FIELD_BITS
-from repro.kernel.compiler import CompiledProgram
-from repro.model.system import System
 
 ZOO_ROOT = Path(__file__).parent.parent / "corpus" / "zoo"
 
@@ -79,25 +73,6 @@ def measure_certificates(repeats: int):
     return rows
 
 
-def measure_narrowing():
-    rows = []
-    for specimen in Zoo(ZOO_ROOT).specimens():
-        protocol = specimen.build()
-        program = CompiledProgram(System(protocol))
-        codec = program.codec
-        wide_bytes = (FIELD_BITS * codec.field_count + 7) // 8
-        rows.append(
-            {
-                "specimen": specimen.digest[:12],
-                "field_bits": codec.field_bits,
-                "row_bytes": codec.width_bytes,
-                "wide_row_bytes": wide_bytes,
-                "saved_bytes": wide_bytes - codec.width_bytes,
-            }
-        )
-    return rows
-
-
 def main(repeats: int = 9) -> None:
     cert_rows = measure_certificates(repeats)
     refuted = sum(1 for row in cert_rows if row["refuted"])
@@ -118,24 +93,6 @@ def main(repeats: int = 9) -> None:
         "refuted; every certificate re-validates byte-identically.",
     )
 
-    narrow_rows = measure_narrowing()
-    print_table(
-        "E22b: codec narrowing from abstract universes",
-        ["specimen", "field bits", "row bytes", "wide row bytes", "saved"],
-        [
-            [
-                row["specimen"],
-                str(row["field_bits"]),
-                str(row["row_bytes"]),
-                str(row["wide_row_bytes"]),
-                str(row["saved_bytes"]),
-            ]
-            for row in narrow_rows
-        ],
-        note="abstract state/value universes pick the packed field "
-        "width; the intern cross-check keeps it sound at runtime.",
-    )
-
     RESULT_FILE.write_text(
         json.dumps(
             {
@@ -143,7 +100,6 @@ def main(repeats: int = 9) -> None:
                 "repeats": repeats,
                 "certificates": cert_rows,
                 "refuted_fraction": refuted / len(cert_rows),
-                "narrowing": narrow_rows,
             },
             indent=2,
             sort_keys=True,
@@ -159,14 +115,6 @@ def test_certificates_are_cheap():
     rows = measure_certificates(repeats=3)
     assert rows, "zoo is empty"
     assert all(row["certificate_ms"] < 250.0 for row in rows), rows
-
-
-def test_every_zoo_specimen_narrows():
-    """Generated automata live in tiny universes: all narrow to 8 bits."""
-    rows = measure_narrowing()
-    assert rows, "zoo is empty"
-    assert all(row["field_bits"] == 8 for row in rows), rows
-    assert all(row["saved_bytes"] > 0 for row in rows), rows
 
 
 def test_certificate_benchmark(benchmark):

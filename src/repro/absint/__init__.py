@@ -2,7 +2,7 @@
 
 A fixpoint analysis computes, for each protocol, a sound
 over-approximation of every local state a process can occupy and every
-value each shared register can hold (abstract ⊇ concrete).  Three
+value each shared register can hold (abstract ⊇ concrete).  Two
 consumers sit on top:
 
 * **static verdicts** — validity refutation (decide-set excludes a
@@ -10,9 +10,6 @@ consumers sit on top:
   write bound strictly stronger than the footprint lint's Theorem 1
   contrapositive; each packaged as a re-checkable
   :class:`StaticCertificate` (``repro absint`` / ``repro lint``);
-* **kernel codec narrowing** — :mod:`repro.kernel` packs rows with
-  field widths derived from the abstract universes, cross-checked at
-  intern time;
 * **soundness oracle** — the differential layer (:mod:`repro.fuzz`)
   asserts every concretely explored configuration is contained in the
   abstract reachable set, on every engine, in every campaign.

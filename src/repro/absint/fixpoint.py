@@ -194,8 +194,8 @@ def analyze_program_protocol(
     Local states of program processes are ``ProcState(pc, env)`` pairs
     with unbounded environments, so the state component widens to ⊤
     outright; the per-register value sets still carry information
-    whenever every stored operand is a constant, which is what the codec
-    narrowing and the value-aware write bound consume.
+    whenever every stored operand is a constant, which is what the
+    value-aware write bound consumes.
     """
     universe = protocol.num_objects
     if inputs is None:

@@ -147,16 +147,12 @@ class Explorer:
         if self._kernel_resolved:
             return self._kernel_explorer
         self._kernel_resolved = True
-        from repro.errors import KernelError
         from repro.kernel import KernelExplorer, kernel_unsupported_reason
 
         reason = kernel_unsupported_reason(self.system)
         if reason is None:
-            try:
-                self._kernel_explorer = KernelExplorer(self.system)
-                return self._kernel_explorer
-            except KernelError:
-                reason = "compile-error"
+            self._kernel_explorer = KernelExplorer(self.system)
+            return self._kernel_explorer
         self.kernel_fallback_reason = reason
         metrics = get_metrics()
         metrics.counter("kernel.fallbacks").inc()

@@ -673,9 +673,6 @@ def cmd_stats(args) -> int:
         ["soundness checks", counters.get("absint.soundness.checks", 0)],
         ["soundness violations",
          counters.get("absint.soundness.violations", 0)],
-        ["codecs narrowed", counters.get("kernel.narrowed", 0)],
-        ["narrowed row bytes saved",
-         counters.get("kernel.narrow.saved_bytes", 0)],
     ]
     print_table("absint", ["quantity", "value"], absint_rows)
     return EXIT_OK

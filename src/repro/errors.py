@@ -116,8 +116,8 @@ class ResilienceError(ReproError):
 class KernelError(ReproError):
     """The compiled exploration kernel hit an internal invariant failure.
 
-    Raised when a packed row cannot represent a configuration (field
-    overflow, or a value outside a narrowed field's static universe).
+    Raised when a packed row cannot represent a configuration (a state
+    or value interner, or a coin counter, overflowed its field).
     The kernel never silently degrades mid-exploration -- budget ticks
     have already been billed, so a fallback would double-bill them;
     instead the error surfaces and the caller may retry on an

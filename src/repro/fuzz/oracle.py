@@ -203,11 +203,10 @@ def abstract_soundness_check(
     reachable graph asserting every visited configuration is contained
     in the abstract one (states per process, values per register).  A
     violation is *never* a protocol finding: it means the abstract
-    interpreter under-approximated, i.e. every static verdict and every
-    codec narrowing decision is suspect.  ``sabotage=True``
-    deliberately drops the root state from the abstract set —
-    concretely visited by definition — so campaigns can prove this leg
-    is not vacuous.
+    interpreter under-approximated, i.e. every static verdict is
+    suspect.  ``sabotage=True`` deliberately drops the root state from
+    the abstract set — concretely visited by definition — so campaigns
+    can prove this leg is not vacuous.
     """
     if type(protocol) is not TableProtocol:
         return None

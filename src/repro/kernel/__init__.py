@@ -13,11 +13,10 @@ kernel* over packed integers:
 * :mod:`repro.kernel.compiler` -- lowers ``TableProtocol`` and DSL
   programs to per-``(pid, state)`` effect tables mapping the current
   register field to an integer *delta*; a successor is one big-int
-  addition.  ``TableProtocol`` compiles statically (tables exhaustively
-  pre-populated from the rule/transition tables); other protocols lower
-  dynamically with miss handlers that consult the object model once per
-  novel ``(pid, state, value)`` and memoise the delta forever; a declared
-  round-shift hook pair is tabulated the same lazy way, per field id.
+  addition.  Every protocol lowers on demand, through miss handlers
+  that consult the object model once per novel ``(pid, state, value)``
+  and memoise the delta forever; a declared round-shift hook pair is
+  tabulated the same lazy way, per field id.
 * :mod:`repro.kernel.explore` -- a batch explorer expanding whole
   frontiers per call, bit-identical to ``Explorer.explore`` (same
   budget ticks, same early exits, same metrics), and the solo runs of

@@ -16,17 +16,15 @@ no field to read: ``shift`` points past the row's last field, where
 every row reads 0, and the table is ``{0: delta}`` from the start.
 Every plan is therefore probed the same way.
 
-``TableProtocol`` lowers *statically*: the whole state/value universe
-is enumerated from the rule/transition/decision tables in a
-deterministic (repr-sorted) order and every table is pre-populated, so
-the hot loop runs with zero misses and the codec's id assignment -- and
-therefore every packed row -- is process-stable.  Any other
-protocol (DSL programs such as ``CommitAdoptRounds``, randomized
-protocols with coin flips) lowers *dynamically*: plans and deltas are
-discovered through the miss handlers.  Both paths rely only on the
-model's purity contracts (``poised``/``transition``/``decision`` and
-the coin tape are pure functions of their arguments).  The explorer's
-BFS and its solo runs read the same tables.
+Every protocol -- ``TableProtocol`` automata, DSL programs such as
+``CommitAdoptRounds``, randomized protocols with coin flips -- lowers
+the same way, on demand: plans and deltas are discovered through the
+miss handlers, relying only on the model's purity contracts
+(``poised``/``transition``/``decision`` and the coin tape are pure
+functions of their arguments).  Ids are assigned in first-seen order;
+a row is only ever compared for equality, inside the process that
+packed it, so that order never shows (docs/THEORY.md, "One lowering
+path").  The explorer's BFS and its solo runs read the same tables.
 
 Decision probing rides on state interning: the moment a novel state is
 interned the compiler asks ``protocol.decision(pid, state)`` for every
@@ -41,13 +39,11 @@ from struct import Struct
 from typing import List, Optional
 
 from repro.errors import KernelError, ModelError
-from repro.kernel.codec import FIELD_BITS, NARROW_BITS, PackedCodec
+from repro.kernel.codec import FIELD_BITS, PackedCodec
 from repro.model.operations import CoinFlip, Marker
 from repro.model.process import Protocol
 from repro.model.registers import apply_operation
 from repro.model.system import System
-from repro.model.table import TableProtocol
-from repro.obs.runtime import get_metrics
 
 #: Fallback reason slugs, also used as ``kernel.fallback.<slug>`` metric
 #: suffixes and recorded in trace events.
@@ -68,17 +64,6 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
-
-
-def _narrow_bits(universe_size: int) -> int:
-    """Smallest supported field width whose id space fits the universe."""
-    for bits in NARROW_BITS:
-        if universe_size <= (1 << bits):
-            return bits
-    raise KernelError(
-        f"universe of {universe_size} entries exceeds every supported "
-        "field width"
-    )
 
 
 def kernel_unsupported_reason(system) -> Optional[str]:
@@ -107,43 +92,9 @@ class CompiledProgram:
         self.tape = system.tape
         self.n = protocol.n
         self.kinds = tuple(spec.kind for spec in protocol.object_specs())
-        self.static = type(protocol) is TableProtocol
-        # Static protocols are abstractly interpreted up front: the
-        # fixpoint's state/value universes pick the narrowest packed
-        # field width that fits, and double as closed interning
-        # universes — any concrete value escaping them is a
-        # :class:`KernelError` (abstract ⊇ concrete, checked live).
-        self.reach = None
-        field_bits = FIELD_BITS
-        state_universe = value_universe = None
-        if self.static:
-            from repro.absint import analyze_table
-
-            self.reach = analyze_table(protocol)
-            state_universe = frozenset(self.reach.states.values)
-            value_universe = frozenset().union(
-                *(v.values for v in self.reach.memory)
-            )
-            field_bits = _narrow_bits(
-                max(len(state_universe), len(value_universe))
-            )
-        # TableProtocol never issues coin flips (rules are read/write/
-        # swap/tas only); everything else gets coin fields defensively.
         self.codec = PackedCodec(
-            self.n,
-            len(self.kinds),
-            track_coins=not self.static,
-            on_new_state=self._on_new_state,
-            field_bits=field_bits,
-            state_universe=state_universe,
-            value_universe=value_universe,
+            self.n, len(self.kinds), on_new_state=self._on_new_state
         )
-        if field_bits < FIELD_BITS:
-            metrics = get_metrics()
-            metrics.counter("kernel.narrowed").inc()
-            metrics.counter("kernel.narrow.saved_bytes").inc(
-                self.codec.field_count * (FIELD_BITS - field_bits) // 8
-            )
         self.plans: List[dict] = [{} for _ in range(self.n)]
         self.decisions: List[dict] = [{} for _ in range(self.n)]
         # Canonical handling, read from the protocol's class: default keys
@@ -159,8 +110,6 @@ class CompiledProgram:
         self.exact_canonical = derived and not self.round_shift
         if self.round_shift:
             self._tabulate_rounds(protocol)
-        if self.static:
-            self._precompile(protocol)
 
     # -- interning hooks ----------------------------------------------
 
@@ -198,7 +147,7 @@ class CompiledProgram:
         elif isinstance(op, Marker):
             new_state = self.protocol.transition(pid, state, None)
             delta = (codec.state_id(new_state) - sid) << codec.state_shifts[pid]
-            past_last_field = codec.field_count * codec.field_bits
+            past_last_field = codec.field_count * FIELD_BITS
             plan = (past_last_field, {0: delta}, op, pid, sid)
         else:
             obj = op.obj
@@ -268,8 +217,7 @@ class CompiledProgram:
             )
         )
         # Rows convert to and from their fields in one C call each.
-        code = {8: "B", 16: "H", 32: "I"}[codec.field_bits]
-        self._fields = Struct(f"<{codec.field_count}{code}")
+        self._fields = Struct(f"<{codec.field_count}I")
 
     def canonical_row(self, row: int) -> int:
         """``row`` under the round-shift quotient, as an integer row.
@@ -298,37 +246,3 @@ class CompiledProgram:
             ),
             "little",
         )
-
-    # -- static lowering ----------------------------------------------
-
-    def _precompile(self, protocol: TableProtocol) -> None:
-        """Pre-populate tables from the abstract reachability universes.
-
-        The interpreter's fixpoint (``self.reach``) already enumerated
-        every abstractly reachable state and every value each register
-        can hold; interning exactly those — in repr-sorted order, so id
-        assignment (hence every packed row) is process-stable — is what lets
-        the codec pack narrower fields.  Effect tables are populated
-        only for ``(plan, cur)`` pairs whose value is abstractly
-        possible *for that plan's register*: any other pair can only be
-        demanded by an execution the analysis missed, and then the
-        interning cross-check fails loudly instead of silently widening.
-        """
-        codec = self.codec
-        reach = self.reach
-        for state in sorted(reach.states.values, key=repr):
-            codec.state_id(state)
-        value_universe = frozenset().union(*(v.values for v in reach.memory))
-        for value in sorted(value_universe, key=repr):
-            codec.value_id(value)
-        possible_ids = [
-            frozenset(codec.value_id(v) for v in vset.values)
-            for vset in reach.memory
-        ]
-        for pid in range(self.n):
-            for sid in range(len(codec.states)):
-                plan = self.plan_miss(pid, sid)
-                if plan is None:
-                    continue
-                for cur in sorted(possible_ids[plan[2].obj]):
-                    self.effect_miss(plan, cur)

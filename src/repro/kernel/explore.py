@@ -25,10 +25,10 @@ it returns:
   - ``generic``: any other key override (``SymmetricKey``): the row is
     unpacked once and keyed by the protocol's ``canonical_query_key``.
 
-* The *frontier log* is a list holding one 80-bit int record per BFS
+* The *frontier log* is a list holding one 48-bit int record per BFS
   discovery, at index ``lid``::
 
-      parent_lid+1:32 | depth:32 | via_pid:16
+      parent_lid+1:32 | via_pid:16
 
   Because the interpreted BFS appends successors to its queue at the
   moment of first discovery, the log *is* the queue: expanding record
@@ -44,10 +44,9 @@ it returns:
 
 * *Per-level bookkeeping*: the log pops records in non-decreasing
   depth, so the loop runs one BFS level at a time and mirrors
-  ``Explorer.explore`` per level: the ``max_depth`` test, the depth
-  bits of the records a level appends and its ``level_sizes`` entry
-  are computed once per level, and edge, dedup and pop counts live in
-  locals until the loop exits.
+  ``Explorer.explore`` per level: the ``max_depth`` test and its
+  ``level_sizes`` entry are computed once per level, and edge, dedup
+  and pop counts live in locals until the loop exits.
 
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
@@ -107,7 +106,6 @@ def _hot_expand(
     effect_miss,
     found,
     stop_when,
-    field_mask,
     level_sizes,
     branch_counts,
     budget,
@@ -119,17 +117,16 @@ def _hot_expand(
     """Expand the whole frontier; returns "done"/"stopped"/"limit".
 
     ``lanes`` holds one ``(pid, plans, state_shift, decisions,
-    pid << 64)`` tuple per pid of P, in pid order.  ``admit`` is None
+    pid << 32)`` tuple per pid of P, in pid order.  ``admit`` is None
     for a raw-dedup search, whose discoveries are written to ``rows``
     and ``index`` here, or a quotient search's cold handler.
 
     The loop runs one BFS level at a time.  The log is the FIFO queue,
-    so records pop in non-decreasing depth: depth, the depth bits of
-    the records a level appends, the ``max_depth`` test and the
-    level's ``level_sizes`` entry are per-level facts.  Within a level,
-    the order of operations per popped record and per pid mirrors
-    ``Explorer.explore`` statement for statement, except that a
-    discovery probes only the stepping pid's decisions.
+    so records pop in non-decreasing depth: depth, the ``max_depth``
+    test and the level's ``level_sizes`` entry are per-level facts.
+    Within a level, the order of operations per popped record and per
+    pid mirrors ``Explorer.explore`` statement for statement, except
+    that a discovery probes only the stepping pid's decisions.
 
     ``ctr`` receives [edges, dedup, truncated, pops]; the counts are
     kept in locals and written once, in a ``finally``, so the caller
@@ -138,7 +135,7 @@ def _hot_expand(
     """
     log_append = log.append
     rows_append = rows.append
-    fmask = field_mask
+    fmask = FIELD_MASK
     edges = dups = 0
     qi = 0
     total = 1
@@ -157,13 +154,11 @@ def _hot_expand(
                 return "done"
             level_end = total
             depth += 1
-            depth_bits = depth << 32
             while qi < level_end:
                 row = rows[qi]
                 qi += 1
                 if budget is not None:
                     budget.tick()
-                record = qi | depth_bits
                 before = edges
                 for pid, pplans, shift, pdecisions, pid_bits in lanes:
                     sid = (row >> shift) & fmask
@@ -187,7 +182,7 @@ def _hot_expand(
                     elif admit(succ) is None:
                         dups += 1
                         continue
-                    log_append(record | pid_bits)
+                    log_append(qi | pid_bits)
                     lid = total
                     total += 1
                     if total > max_configs:
@@ -236,7 +231,7 @@ def _limit_exceeded(lanes, visited, max_configs):
 
 
 def _hot_solo(
-    row, pid, limit, pplans, pdecisions, plan_miss, effect_miss, shift, fmask
+    row, pid, limit, pplans, pdecisions, plan_miss, effect_miss, shift
 ):
     """Run ``pid`` alone from ``row``; returns ``(steps, value)``.
 
@@ -244,6 +239,7 @@ def _hot_solo(
     plan of ``pid``'s state (stop if it halted), add its delta, and stop
     as soon as ``pid``'s new state decides.
     """
+    fmask = FIELD_MASK
     for steps in range(1, limit + 1):
         sid = (row >> shift) & fmask
         plan = pplans.get(sid, _MISS)
@@ -270,7 +266,7 @@ def _schedule_of(log: List[int], lid: int) -> Tuple[int, ...]:
         parent1 = entry & FIELD_MASK
         if parent1 == 0:
             break
-        steps.append((entry >> 64) & 0xFFFF)
+        steps.append(entry >> 32)
         entry = log[parent1 - 1]
     steps.reverse()
     return tuple(steps)
@@ -285,10 +281,6 @@ class KernelExplorer:
         get_tracer().event(
             "kernel.compiled",
             protocol=type(system.protocol).__name__,
-            mode="static" if self.program.static else "dynamic",
-            states=len(self.program.codec.states),
-            values=len(self.program.codec.values),
-            field_bits=self.program.codec.field_bits,
         )
 
     def close(self) -> None:
@@ -309,7 +301,6 @@ class KernelExplorer:
             program.plan_miss,
             program.effect_miss,
             codec.state_shifts[pid],
-            codec.field_mask,
         )
 
     def _dedup(self, row0: int, pid_set: FrozenSet[int]) -> str:
@@ -322,7 +313,7 @@ class KernelExplorer:
             return "generic"
         codec = program.codec
         for pid in range(program.n):
-            sid = (row0 >> codec.state_shifts[pid]) & codec.field_mask
+            sid = (row0 >> codec.state_shifts[pid]) & FIELD_MASK
             if pid not in pid_set and program.state_rounds[sid] < inf:
                 return "raw"
         return "canonical"
@@ -369,19 +360,19 @@ class KernelExplorer:
             store.append(row0)
         else:
             admit(row0)
-        log = [0]  # root record: parent1=0, depth=0
+        log = [0]  # root record: parent1=0
         found: dict = {}
         state_shifts = codec.state_shifts
         decisions = program.decisions
         lanes = tuple(
-            (pid, program.plans[pid], state_shifts[pid], decisions[pid], pid << 64)
+            (pid, program.plans[pid], state_shifts[pid], decisions[pid], pid << 32)
             for pid in sorted(pid_set)
         )
         branch_counts = [0] * (len(lanes) + 1)
 
         for pid in range(program.n):
             value = decisions[pid].get(
-                (row0 >> state_shifts[pid]) & codec.field_mask
+                (row0 >> state_shifts[pid]) & FIELD_MASK
             )
             if value is not None and value not in found:
                 found[value] = 0
@@ -424,7 +415,6 @@ class KernelExplorer:
                 program.effect_miss,
                 found,
                 stop_when,
-                codec.field_mask,
                 level_sizes,
                 branch_counts,
                 budget,

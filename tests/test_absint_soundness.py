@@ -12,9 +12,9 @@ Three layers of evidence that the interpreter never under-approximates:
   the abstract set) must be caught by the oracle, in the direct check,
   the differential matrix, and a whole campaign.
 
-Plus the narrowing consumer: abstract value universes pick packed-row
-field widths, with the codec's closed-universe intern check as the
-live cross-check.
+Plus the kernel's side: a table protocol lowers on demand like every
+other protocol, into 32-bit fields with open interning, so no kernel
+result rests on the analysis.
 """
 
 import random
@@ -164,41 +164,64 @@ class TestCampaignTags:
 
 
 class TestCodecNarrowing:
+    """The kernel does not consume the abstract universes: a table
+    protocol's codec packs the 32-bit layout every protocol gets and
+    interns on demand, in first-seen order."""
+
     def compiled(self, protocol):
         from repro.kernel.compiler import CompiledProgram
         from repro.model.system import System
 
         return CompiledProgram(System(protocol))
 
-    def test_small_universe_narrows_to_byte_fields(self):
-        protocol = generate_protocol(random.Random(7), SMALL)
-        program = self.compiled(protocol)
-        assert program.codec.field_bits == 8
-        from repro.kernel.codec import FIELD_BITS
-
-        assert program.codec.width_bytes < (
-            FIELD_BITS * program.codec.field_count
-        ) // 8
-
     def test_narrowed_kernel_agrees_with_every_engine(self):
         protocol = generate_protocol(random.Random(7), SMALL)
         report = differential(protocol, DEFAULT_ENGINES, max_configs=5_000)
         assert report.ok, "\n".join(d.describe() for d in report.divergences)
 
-    def test_out_of_universe_intern_fails_loudly(self):
-        from repro.errors import KernelError
-
-        protocol = generate_protocol(random.Random(7), SMALL)
-        program = self.compiled(protocol)
-        with pytest.raises(KernelError, match="narrowing unsound"):
-            program.codec.value_id("never-abstractly-reachable")
-
     def test_wide_universe_keeps_wide_fields(self):
-        # A dynamic (program) protocol has no abstract universes: the
-        # codec must stay at the default width with open interning.
+        # No codec has a closed universe: a value no analysis predicted
+        # interns like any other, for a DSL protocol and a generated
+        # table protocol alike.
         from repro.kernel.codec import FIELD_BITS
         from repro.protocols.consensus import CommitAdoptRounds
 
-        program = self.compiled(CommitAdoptRounds(2))
-        assert program.codec.field_bits == FIELD_BITS
-        program.codec.value_id("anything")  # open universe: no error
+        for protocol in (
+            CommitAdoptRounds(2),
+            generate_protocol(random.Random(7), SMALL),
+        ):
+            codec = self.compiled(protocol).codec
+            assert codec.width_bytes * 8 == codec.field_count * FIELD_BITS
+            codec.value_id("never-abstractly-reachable")  # no error
+
+    def test_table_protocol_interns_only_what_a_search_reaches(self):
+        from repro.analysis.explorer import Explorer
+        from repro.kernel import KernelExplorer
+        from repro.model.system import InterpretedSystem, System
+
+        protocol = generate_protocol(random.Random(7), SMALL)
+        system = System(protocol)
+        kernel = KernelExplorer(system)
+        codec = kernel.program.codec
+        assert codec.states == [] and codec.values == []
+
+        pids = frozenset(range(protocol.n))
+        root = system.initial_configuration(
+            [pid % 2 for pid in range(protocol.n)]
+        )
+        result = kernel.explore(
+            root, pids, max_configs=20_000, max_depth=None, strict=True
+        )
+        assert result.complete
+        reached = list(
+            Explorer(InterpretedSystem(protocol), max_configs=20_000)
+            .iter_reachable(root, pids)
+        )
+        assert len(reached) == result.visited
+        assert set(codec.states) == {
+            state for config, _ in reached for state in config.states
+        }
+        assert set(codec.values) == {
+            value for config, _ in reached for value in config.memory
+        }
+        kernel.close()

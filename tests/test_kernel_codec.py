@@ -14,15 +14,15 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernel import PackedCodec
-from repro.kernel.codec import FIELD_MASK
+from repro.kernel.codec import FIELD_BITS, FIELD_MASK
 from repro.model.configuration import Configuration
 from repro.model.system import System
 
 from tests.strategies import table_protocols
 
 
-def make_codec(n=2, registers=2, track_coins=False):
-    return PackedCodec(n, registers, track_coins=track_coins)
+def make_codec(n=2, registers=2):
+    return PackedCodec(n, registers)
 
 
 class TestRoundTrip:
@@ -34,9 +34,7 @@ class TestRoundTrip:
         system = System(CommitAdoptRounds(2))
         explorer = Explorer(system, max_configs=5_000, strict=False)
         root = system.initial_configuration([0, 1])
-        codec = PackedCodec(
-            2, system.protocol.num_objects, track_coins=True
-        )
+        codec = PackedCodec(2, system.protocol.num_objects)
         seen = 0
         for config, _schedule in explorer.iter_reachable(
             root, frozenset({0, 1})
@@ -58,10 +56,14 @@ class TestRoundTrip:
         system = System(protocol)
         inputs = [(inputs_seed >> pid) & 1 for pid in range(protocol.n)]
         config = system.initial_configuration(inputs)
-        codec = PackedCodec(
-            protocol.n, protocol.num_objects, track_coins=False
-        )
-        assert codec.unpack(codec.pack(config)) == config
+        codec = PackedCodec(protocol.n, protocol.num_objects)
+        row = codec.pack(config)
+        assert codec.unpack(row) == config
+        # Coin fields sit above the state and register fields: a row
+        # that consumed no coins is no longer than one without them.
+        assert row.bit_length() <= (
+            protocol.n + protocol.num_objects
+        ) * FIELD_BITS
 
     def test_equal_configurations_pack_identically(self):
         """Satellite-6 regression: values equal under ``==`` (True/1,
@@ -93,14 +95,8 @@ class TestRoundTrip:
 
 
 class TestErrors:
-    def test_coins_without_tracking_raise(self):
-        codec = make_codec(track_coins=False)
-        config = Configuration(states=(0, 0), memory=(0, 0), coins=(1, 0))
-        with pytest.raises(KernelError):
-            codec.pack(config)
-
     def test_coin_counter_overflow_raises(self):
-        codec = make_codec(track_coins=True)
+        codec = make_codec()
         config = Configuration(
             states=(0, 0), memory=(0, 0), coins=(FIELD_MASK + 1, 0)
         )
