@@ -95,6 +95,15 @@ class StaticCertificate:
     def refutation(self) -> Optional[StaticVerdict]:
         return self.verdicts[0] if self.verdicts else None
 
+    def fixpoint(self, inputs) -> Optional[AbstractReachability]:
+        """The fixpoint this certificate holds for the input set
+        ``inputs`` (``overall`` or a ``per_input`` entry), or None."""
+        wanted = set(inputs)
+        for reach in (self.overall, *(reach for _, reach in self.per_input)):
+            if set(reach.inputs) == wanted:
+                return reach
+        return None
+
     def to_json_dict(self) -> Dict:
         return {
             "version": CERTIFICATE_VERSION,

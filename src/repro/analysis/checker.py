@@ -5,14 +5,23 @@ graph of a protocol (all processes enabled, all interleavings) and checks
 at every configuration:
 
 * **Agreement** (or k-agreement): at most ``k`` distinct decided values;
-* **Validity**: every decided value is some process's input;
-* optionally **solo termination** from every reachable configuration:
-  each process decides if run alone (nondeterministic solo termination is
-  the liveness condition under which the paper's bound holds).
+* **Validity**: every decided value is some process's input.
+
+The walk is one :meth:`~repro.analysis.explorer.Explorer.explore` over
+all pids with a violation predicate, so a ``System`` runs it on the
+compiled kernel and ``InterpretedSystem``/``FaultyMemorySystem`` on the
+explorer's object-walking loop.  The search stops at the pop of the
+first violating configuration, as a checker that tests what it pops
+would (docs/THEORY.md, "One BFS for the checker"); the witness is
+replayed on the object model, so the violation details read the
+configuration itself.
 
 When the reachable graph is finite (possibly after the protocol's
 canonical abstraction) this is a proof for the given input assignment;
-the caller typically iterates over all input assignments.
+the caller typically iterates over all input assignments.  Solo
+termination is checked from the initial configuration by
+``check_solo_termination``, and from every reachable configuration by
+the crash sweep (:func:`repro.faults.crash.check_consensus_crashes`).
 
 ``check_consensus_random`` drives randomized bursty schedules for sizes
 where exhaustive checking is out of reach.
@@ -21,11 +30,10 @@ where exhaustive checking is out of reach.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, List, Optional, Sequence
 
-from repro.errors import ExplorationLimitError
+from repro.analysis.explorer import Explorer
 from repro.model.configuration import Configuration
 from repro.model.schedule import Schedule, random_bursty_schedule
 from repro.model.system import System
@@ -91,9 +99,6 @@ def check_consensus_exhaustive(
     inputs: Sequence[Hashable],
     k: int = 1,
     max_configs: int = 500_000,
-    check_solo: bool = False,
-    solo_step_bound: int = 10_000,
-    stop_at_first: bool = True,
     strict: bool = True,
 ) -> CheckResult:
     """Exhaustively check (k-set) agreement + validity for one input vector.
@@ -104,62 +109,33 @@ def check_consensus_exhaustive(
     result reports no violation among the configurations visited, with
     ``exhaustive=False`` and an explanatory note (bounded verification).
     """
-    protocol = system.protocol
+    allowed = frozenset(inputs)
+
+    def violates(decided: FrozenSet[Hashable]) -> bool:
+        return len(decided) > k or not decided <= allowed
+
     root = system.initial_configuration(inputs)
-    root_key = protocol.canonical_key(root)
-    parents: Dict[Hashable, Optional[Tuple[Hashable, int]]] = {root_key: None}
-    queue = deque([(root, root_key)])
-    result = CheckResult(ok=True)
-    all_pids = range(protocol.n)
-
-    def path_to(key: Hashable) -> Schedule:
-        steps: List[int] = []
-        cursor = parents[key]
-        while cursor is not None:
-            parent_key, pid = cursor
-            steps.append(pid)
-            cursor = parents[parent_key]
-        steps.reverse()
-        return tuple(steps)
-
-    while queue:
-        config, key = queue.popleft()
-        found = _config_violations(system, config, inputs, path_to(key), k)
-        if check_solo and not found:
-            found.extend(
-                _solo_violations(system, config, path_to(key), solo_step_bound)
-            )
-        if found:
-            result.violations.extend(found)
-            result.ok = False
-            if stop_at_first:
-                result.configs_visited = len(parents)
-                return result
-        for pid in all_pids:
-            if not system.enabled(config, pid):
-                continue
-            succ, _ = system.step(config, pid)
-            succ_key = protocol.canonical_key(succ)
-            if succ_key in parents:
-                continue
-            parents[succ_key] = (key, pid)
-            if len(parents) > max_configs:
-                if strict:
-                    raise ExplorationLimitError(
-                        f"reachable graph exceeds {max_configs} "
-                        "configurations",
-                        visited=len(parents),
-                    )
-                result.configs_visited = len(parents)
-                result.note = (
-                    f"bounded verification: no violation within the first "
-                    f"{max_configs} configurations (graph not exhausted)"
-                )
-                return result
-            queue.append((succ, succ_key))
-
-    result.configs_visited = len(parents)
-    result.exhaustive = True
+    explorer = Explorer(system, max_configs=max_configs, strict=strict)
+    try:
+        search = explorer.explore(
+            root, range(system.protocol.n), violates=violates
+        )
+    finally:
+        explorer.close()
+    result = CheckResult(ok=True, configs_visited=search.visited)
+    if search.violation is not None:
+        final, _ = system.run(root, search.violation)
+        result.violations = _config_violations(
+            system, final, inputs, search.violation, k
+        )
+        result.ok = False
+    elif search.complete:
+        result.exhaustive = True
+    else:
+        result.note = (
+            f"bounded verification: no violation within the first "
+            f"{max_configs} configurations (graph not exhausted)"
+        )
     return result
 
 
@@ -167,7 +143,7 @@ def _solo_violations(
     system: System,
     config: Configuration,
     prefix: Schedule,
-    solo_step_bound: int,
+    max_steps: int,
 ) -> List[Violation]:
     """Check solo termination of every live process from ``config``."""
     out: List[Violation] = []
@@ -175,12 +151,12 @@ def _solo_violations(
         if not system.enabled(config, pid):
             continue
         try:
-            final, trace = system.solo_run(config, pid, solo_step_bound)
+            final, trace = system.solo_run(config, pid, max_steps)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             out.append(
                 Violation(
                     kind="solo-termination",
-                    schedule=prefix + (pid,) * solo_step_bound,
+                    schedule=prefix + (pid,) * max_steps,
                     detail=f"process {pid} solo run failed: {exc}",
                 )
             )

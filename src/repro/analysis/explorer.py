@@ -17,13 +17,18 @@ Engine selection is by the system's type: an exact
 :class:`~repro.model.system.InterpretedSystem`, fault-injecting
 wrappers -- runs on this module's object-walking loop.  Both return
 bit-identical results.
+
+The consensus checker (:mod:`repro.analysis.checker`) is this search
+over all processes with a ``violates`` predicate over decided values:
+it stops at the pop of the first violating discovery, so a violation
+the budget cuts off before its pop goes unreported.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExplorationLimitError
 from repro.model.configuration import Configuration
@@ -71,7 +76,8 @@ class ExplorationResult:
     whole reachable graph was exhausted; when a ``stop_when`` target was
     hit early, or the depth bound truncated the frontier, the graph may
     be incomplete but ``decided`` is still sound for the values it
-    contains.
+    contains.  ``violation`` is the schedule to the first configuration
+    a ``violates`` predicate flagged, when the search reached its pop.
     """
 
     root: Configuration
@@ -80,6 +86,7 @@ class ExplorationResult:
     visited: int = 0
     complete: bool = False
     truncated: bool = False
+    violation: Optional[Schedule] = None
 
     def can_decide(self, value: Hashable) -> bool:
         return value in self.decided
@@ -176,6 +183,7 @@ class Explorer:
         root: Configuration,
         pids: FrozenSet[int] | Tuple[int, ...],
         stop_when: Optional[FrozenSet[Hashable]] = None,
+        violates: Optional[Callable[[FrozenSet[Hashable]], bool]] = None,
     ) -> ExplorationResult:
         """BFS over P-only steps from ``root``.
 
@@ -183,6 +191,14 @@ class Explorer:
         in the set has been found decidable (early exit for bivalence
         queries).  Without it, the reachable graph is exhausted up to the
         configured budgets.
+
+        ``violates``: if given, a predicate over the set of values
+        decided in a configuration, tested on the root and on every
+        discovery.  The search stops when the first configuration it
+        flagged is about to be popped, and reports the schedule to it as
+        ``violation``; a budget reached before that pop wins.  It must
+        flag no subset of a set it passes: a step that decides nothing
+        only shrinks the set, so the kernel tests only deciding steps.
 
         In strict mode, raises :class:`ExplorationLimitError` if the
         number of distinct canonical configurations exceeds the budget
@@ -197,6 +213,7 @@ class Explorer:
                 root,
                 pids,
                 stop_when,
+                violates,
                 max_configs=self.max_configs,
                 max_depth=self.max_depth,
                 strict=self.strict,
@@ -231,11 +248,17 @@ class Explorer:
         parents[root_key] = None
         queue = deque([(root, root_key, 0)])
         found: Dict[Hashable, Hashable] = {}  # value -> deciding key
+        violating: Hashable = None  # key of the first flagged discovery
 
         def record_decisions(config: Configuration, key: Hashable) -> None:
-            for value in system.decided_values(config):
+            nonlocal violating
+            decided = system.decided_values(config)
+            for value in decided:
                 if value not in found:
                     found[value] = key
+            if violates is not None and violating is None:
+                if violates(decided):
+                    violating = key
 
         def finish(complete: bool) -> ExplorationResult:
             result.decided = {
@@ -269,6 +292,9 @@ class Explorer:
         sorted_pids = sorted(pid_set)
         while queue:
             config, key, depth = queue.popleft()
+            if key is violating:
+                result.violation = self._path(parents, key)
+                return finish(complete=False)
             if self.budget is not None:
                 self.budget.tick()
             if self.max_depth is not None and depth >= self.max_depth:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -985,7 +986,11 @@ def _observed(args):
                 handle.write("\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every
+    ``main`` call: parsing leaves it as it was (the one mutable default,
+    ``mutex``'s ``sizes``, is only read)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Executable 'A Tight Space Bound for Consensus'",

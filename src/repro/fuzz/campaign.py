@@ -208,8 +208,9 @@ def run_campaign(
             "digest": digest,
         }
         # One static analysis per specimen: the certificate tags the
-        # journal (refuted shapes are kept, not dropped) and its
-        # fixpoint feeds the value-aware liveness prefilter.
+        # journal (refuted shapes are kept, not dropped), its fixpoint
+        # feeds the value-aware liveness prefilter, and its fixpoints
+        # serve the abstract-soundness leg.
         certificate = static_certificate(protocol)
         record["absint"] = {
             "refuted": certificate.refuted,
@@ -231,6 +232,7 @@ def run_campaign(
             max_depth=config.max_depth,
             guarded=config.guarded,
             guarded_budget=config.guarded_budget,
+            certificate=certificate,
         )
         stats["explored"] += 1
         stats["spent"] += report.visited

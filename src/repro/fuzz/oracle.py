@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Type
 
-from repro.absint import ValueSet, analyze_table
+from repro.absint import StaticCertificate, ValueSet, analyze_table
 from repro.analysis.checker import check_consensus_exhaustive
 from repro.analysis.explorer import Explorer
 from repro.model.system import InterpretedSystem, System
@@ -195,6 +195,7 @@ def abstract_soundness_check(
     max_configs: int = 20_000,
     max_depth: Optional[int] = None,
     sabotage: bool = False,
+    certificate: Optional[StaticCertificate] = None,
 ) -> Optional[Divergence]:
     """The abstract-soundness leg: abstract ⊇ concrete, checked live.
 
@@ -206,13 +207,17 @@ def abstract_soundness_check(
     interpreter under-approximated, i.e. every static verdict is
     suspect.  ``sabotage=True`` deliberately drops the root state from
     the abstract set — concretely visited by definition — so campaigns
-    can prove this leg is not vacuous.
+    can prove this leg is not vacuous.  A ``certificate`` of the same
+    protocol lends the fixpoints it holds; only the input sets it
+    lacks are analyzed here.
     """
     if type(protocol) is not TableProtocol:
         return None
     n = protocol.n
     for inputs in input_vectors(n):
-        reach = analyze_table(protocol, tuple(set(inputs)))
+        reach = None if certificate is None else certificate.fixpoint(inputs)
+        if reach is None:
+            reach = analyze_table(protocol, tuple(set(inputs)))
         if sabotage:
             root_state = protocol.initial[inputs[0]]
             reach = replace(
@@ -320,6 +325,7 @@ def differential(
     max_depth: Optional[int] = None,
     guarded: bool = False,
     guarded_budget: Optional[int] = None,
+    certificate: Optional[StaticCertificate] = None,
 ) -> DifferentialReport:
     """Run the full differential matrix over one specimen.
 
@@ -328,7 +334,8 @@ def differential(
     class (the class is all that varies between guarded oracles): its
     ``run_adversary_guarded`` status, exit code and serialized payload
     must match the baseline's (this is the expensive leg; campaigns
-    enable it, the mutator property tests do not).
+    enable it, the mutator property tests do not).  ``certificate``, the
+    specimen's static certificate, goes to the abstract-soundness leg.
     """
     report = DifferentialReport(
         protocol_name=protocol.name,
@@ -348,7 +355,10 @@ def differential(
     )
     _check_replays(report, baseline_spec.name, baseline)
     soundness = abstract_soundness_check(
-        protocol, max_configs=max_configs, max_depth=max_depth
+        protocol,
+        max_configs=max_configs,
+        max_depth=max_depth,
+        certificate=certificate,
     )
     if soundness is not None:
         report.divergences.append(soundness)
@@ -362,6 +372,7 @@ def differential(
                 max_configs=max_configs,
                 max_depth=max_depth,
                 sabotage=True,
+                certificate=certificate,
             )
             if sabotaged is not None:
                 report.divergences.append(Divergence(

@@ -48,6 +48,14 @@ it returns:
   ``level_sizes`` entry are computed once per level, and edge, dedup
   and pop counts live in locals until the loop exits.
 
+* *A cold violation handler*: a search given a ``violates`` predicate
+  (the consensus checker's) tests the root, and then a discovery only
+  when the stepping pid's new state decides; the handler probes all n
+  decision tables of the row.  The first flagged ``lid`` stops the
+  search at its pop, before expanding it, and the loop honours that
+  stop once per level by ending the next level at it (docs/THEORY.md,
+  "One BFS for the checker").
+
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
 ``Configuration`` construction, no pack/unpack, no comprehensions --
@@ -63,7 +71,7 @@ under the same contract.
 from __future__ import annotations
 
 from math import inf
-from typing import FrozenSet, Hashable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.analysis.explorer import BRANCHING_EDGES, ExplorationResult
 from repro.errors import ExplorationLimitError
@@ -106,6 +114,8 @@ def _hot_expand(
     effect_miss,
     found,
     stop_when,
+    violated,
+    halt,
     level_sizes,
     branch_counts,
     budget,
@@ -114,22 +124,29 @@ def _hot_expand(
     strict,
     ctr,
 ):
-    """Expand the whole frontier; returns "done"/"stopped"/"limit".
+    """Expand the whole frontier; returns "done"/"stopped"/"limit"/
+    "violation".
 
     ``lanes`` holds one ``(pid, plans, state_shift, decisions,
     pid << 32)`` tuple per pid of P, in pid order.  ``admit`` is None
     for a raw-dedup search, whose discoveries are written to ``rows``
     and ``index`` here, or a quotient search's cold handler.
+    ``violated`` is None or the cold handler that tests a discovered
+    row's decided values; ``halt`` is the ``lid`` of the first row it
+    flagged (0 for a flagged root), or None.
 
     The loop runs one BFS level at a time.  The log is the FIFO queue,
     so records pop in non-decreasing depth: depth, the ``max_depth``
     test and the level's ``level_sizes`` entry are per-level facts.
     Within a level, the order of operations per popped record and per
     pid mirrors ``Explorer.explore`` statement for statement, except
-    that a discovery probes only the stepping pid's decisions.
+    that a discovery probes only the stepping pid's decisions, and asks
+    ``violated`` only when that pid's new state decides.  A flagged
+    ``lid`` was discovered at a deeper level than the one popping, so
+    its pop is honoured once per level: the next level ends at it.
 
-    ``ctr`` receives [edges, dedup, truncated, pops]; the counts are
-    kept in locals and written once, in a ``finally``, so the caller
+    ``ctr`` receives [edges, dedup, truncated, pops, halt]; the counts
+    are kept in locals and written once, in a ``finally``, so the caller
     flushes exact metrics also on a raise, where the interpreted
     loop's incremental counter updates are likewise already committed.
     """
@@ -143,16 +160,19 @@ def _hot_expand(
     pops = None
     try:
         while qi < total:
+            if qi == halt:
+                return "violation"
             if max_depth is not None and depth >= max_depth:
-                # Every record left sits at this depth: each pop is
-                # billed and skipped.
+                # Every record left sits at this depth: each pop up to
+                # the flagged one is billed and skipped.
                 pops = qi
                 ctr[2] = 1
                 if budget is not None:
-                    for _ in range(total - qi):
+                    for _ in range((total if halt is None else halt) - qi):
                         budget.tick()
-                return "done"
-            level_end = total
+                return "done" if halt is None else "violation"
+            start = total
+            level_end = start if halt is None else halt
             depth += 1
             while qi < level_end:
                 row = rows[qi]
@@ -189,23 +209,27 @@ def _hot_expand(
                         if strict:
                             _limit_exceeded(lanes, total, max_configs)
                         ctr[2] = 1
-                        _level_size(level_sizes, depth, total - 1 - level_end)
+                        _level_size(level_sizes, depth, total - 1 - start)
                         return "limit"
                     value = pdecisions.get((succ >> shift) & fmask)
-                    if value is not None and value not in found:
+                    if value is None:
+                        continue
+                    if halt is None and violated is not None:
+                        if violated(succ):
+                            halt = lid
+                    if value not in found:
                         found[value] = lid
                         if stop_when is not None and stop_when <= found.keys():
-                            _level_size(
-                                level_sizes, depth, total - 1 - level_end
-                            )
+                            _level_size(level_sizes, depth, total - 1 - start)
                             return "stopped"
                 branch_counts[edges - before] += 1
-            _level_size(level_sizes, depth, total - level_end)
+            _level_size(level_sizes, depth, total - start)
         return "done"
     finally:
         ctr[0] = edges
         ctr[1] = dups
         ctr[3] = qi if pops is None else pops
+        ctr[4] = halt
 
 
 def _level_size(level_sizes, depth, size):
@@ -323,6 +347,7 @@ class KernelExplorer:
         root: Configuration,
         pids,
         stop_when: Optional[FrozenSet[Hashable]] = None,
+        violates: Optional[Callable[[FrozenSet[Hashable]], bool]] = None,
         *,
         max_configs: int,
         max_depth: Optional[int],
@@ -339,7 +364,7 @@ class KernelExplorer:
         dedup_c = metrics.counter("explorer.dedup_hits")
         branching_h = metrics.histogram("explorer.branching", BRANCHING_EDGES)
         level_sizes = {0: 1}
-        ctr = [0, 0, 0, 0]  # edges, dedup, truncated, pops
+        ctr = [0, 0, 0, 0, None]  # edges, dedup, truncated, pops, halt
 
         row0 = codec.pack(root)
         store = RowStore()
@@ -376,10 +401,27 @@ class KernelExplorer:
             )
             if value is not None and value not in found:
                 found[value] = 0
+        violated = None
+        if violates is not None:
+            tables = tuple(zip(state_shifts, decisions))
+
+            def violated(row: int) -> bool:
+                """``violates`` over the row's decided values, read off
+                all n decision tables."""
+                decided = set()
+                for shift, table in tables:
+                    value = table.get((row >> shift) & FIELD_MASK)
+                    if value is not None:
+                        decided.add(value)
+                return violates(frozenset(decided))
+
+        halt = 0 if violated is not None and violated(row0) else None
 
         def finish(outcome: str) -> ExplorationResult:
             for value, lid in found.items():
                 result.decided[value] = _schedule_of(log, lid)
+            if outcome == "violation":
+                result.violation = _schedule_of(log, ctr[4])
             result.visited = len(store)
             result.complete = outcome == "done" and not result.truncated
             metrics.counter("explorer.explorations").inc()
@@ -415,6 +457,8 @@ class KernelExplorer:
                 program.effect_miss,
                 found,
                 stop_when,
+                violated,
+                halt,
                 level_sizes,
                 branch_counts,
                 budget,

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.absint import static_certificate
 from repro.fuzz import (
     ABSINT_UNSOUND,
     DEFAULT_ENGINES,
@@ -34,6 +35,7 @@ from repro.fuzz import (
 from repro.fuzz.generator import GeneratorConfig, generate_protocol
 from repro.fuzz.zoo import Zoo
 from repro.model.table import TableProtocol
+from repro.obs import MetricsRegistry, observe
 
 ZOO_ROOT = Path(__file__).resolve().parent.parent / "corpus" / "zoo"
 
@@ -69,6 +71,40 @@ class TestZooSoundness:
     @pytest.mark.parametrize("specimen", SPECIMENS, ids=IDS)
     def test_every_specimen_is_soundly_abstracted(self, specimen):
         assert abstract_soundness_check(specimen.build()) is None
+
+
+class TestCertificateFixpoints:
+    """A campaign hands the specimen's static certificate to the
+    soundness leg, which analyzes only the input sets it lacks."""
+
+    def analyses(self, protocol, **kwargs):
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            found = abstract_soundness_check(protocol, **kwargs)
+        return found, registry.snapshot()["counters"].get("absint.analyses", 0)
+
+    @pytest.mark.parametrize("sabotage", [False, True])
+    def test_certificate_fixpoints_serve_every_input_vector(self, sabotage):
+        protocol = SPECIMENS[0].build()
+        certificate = static_certificate(protocol)
+        assert self.analyses(
+            protocol, sabotage=sabotage, certificate=certificate
+        ) == (abstract_soundness_check(protocol, sabotage=sabotage), 0)
+
+    def test_input_sets_the_certificate_lacks_are_analyzed(self):
+        # Three declared inputs: the certificate's overall fixpoint is
+        # for {0, 1, 2}, so the mixed vector's {0, 1} is analyzed here.
+        protocol = TableProtocol(
+            n=2,
+            registers=1,
+            initial={0: 0, 1: 0, 2: 1},
+            rules={0: ("write", 0, 1), 1: ("read", 0)},
+            transitions={(0, None): 2},
+            decisions={2: 0},
+        )
+        certificate = static_certificate(protocol)
+        assert self.analyses(protocol, certificate=certificate) == (None, 1)
+        assert self.analyses(protocol) == (None, 3)
 
 
 class TestSabotage:

@@ -7,6 +7,7 @@ from repro.analysis.checker import (
     check_consensus_random,
     check_solo_termination,
 )
+from repro.faults.crash import check_consensus_crashes
 from repro.model.program import ProgramBuilder, ProgramProtocol, anonymous_programs
 from repro.model.registers import register
 from repro.model.system import System
@@ -50,12 +51,9 @@ class TestSoloTerminationDetection:
 
     def test_exhaustive_with_solo_check_flags_staller(self):
         system = System(stalling_protocol(2))
-        result = check_consensus_exhaustive(
-            system, [0, 1], check_solo=True, solo_step_bound=100,
-            max_configs=1_000, strict=False,
-        )
+        result = check_consensus_crashes(system, [0, 1], solo_bound=100)
         assert not result.ok
-        assert result.first_violation().kind == "solo-termination"
+        assert result.first_violation().kind == "crash-termination"
 
 
 class TestValidityDetection:

@@ -9,6 +9,7 @@ from repro.analysis.checker import (
     check_consensus_random,
     check_solo_termination,
 )
+from repro.faults.crash import check_consensus_crashes
 from repro.model.system import System
 from repro.protocols.consensus import (
     CasConsensus,
@@ -25,15 +26,24 @@ def binary_inputs(n):
     return list(itertools.product((0, 1), repeat=n))
 
 
+def assert_survivors_finish(system, inputs):
+    """Every survivor of every crash plan finishes solo from every
+    reachable configuration, and the graph is exhausted."""
+    result = check_consensus_crashes(system, inputs)
+    assert result.ok, result.first_violation()
+    assert result.exhaustive
+
+
 class TestCasConsensus:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_binary(self, n):
         protocol = CasConsensus(n)
         system = System(protocol)
         for inputs in binary_inputs(n):
-            result = check_consensus_exhaustive(system, inputs, check_solo=True)
+            result = check_consensus_exhaustive(system, inputs)
             assert result.ok, result.first_violation()
             assert result.exhaustive
+            assert_survivors_finish(system, inputs)
 
     def test_random_larger(self):
         system = System(CasConsensus(8))
@@ -53,8 +63,9 @@ class TestTasConsensus:
     def test_exhaustive_binary(self):
         system = System(TasConsensus())
         for inputs in binary_inputs(2):
-            result = check_consensus_exhaustive(system, inputs, check_solo=True)
+            result = check_consensus_exhaustive(system, inputs)
             assert result.ok, result.first_violation()
+            assert_survivors_finish(system, inputs)
 
     def test_rejects_other_n(self):
         with pytest.raises(ValueError):
