@@ -12,9 +12,10 @@ from typing import Dict, Hashable, Iterator, Mapping, Tuple
 
 
 class Env(Mapping[str, Hashable]):
-    """Immutable mapping from variable names to hashable values."""
+    """Immutable mapping from variable names to hashable values: one
+    dict plus the hash of its sorted pairs, computed once."""
 
-    __slots__ = ("_items", "_lookup", "_hash")
+    __slots__ = ("_lookup", "_hash")
 
     def __init__(self, mapping: Mapping[str, Hashable] | None = None):
         self._adopt(dict(mapping) if mapping else {})
@@ -30,9 +31,12 @@ class Env(Mapping[str, Hashable]):
     def _adopt(self, lookup: Dict[str, Hashable]) -> None:
         object.__setattr__(self, "_lookup", lookup)
         # Names are unique, so sorting the pairs never compares values.
-        items = tuple(sorted(lookup.items()))
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "_hash", hash(tuple(sorted(lookup.items()))))
+
+    def __reduce__(self):
+        """Pickle the bindings only: ``hash()`` is salted per interpreter
+        process, so the cached hash must never travel between processes."""
+        return (Env, (self._lookup,))
 
     # -- Mapping interface -------------------------------------------------
     def __getitem__(self, key: str) -> Hashable:
@@ -66,19 +70,21 @@ class Env(Mapping[str, Hashable]):
 
     # -- value semantics ---------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        # The same pairs, compared with ``==`` after an identity check,
+        # as the sorted pair tuples the hash is taken of.
         if isinstance(other, Env):
-            return self._items == other._items
+            return self._lookup == other._lookup
         return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
     def items_tuple(self) -> Tuple[Tuple[str, Hashable], ...]:
-        """The canonical sorted (name, value) tuple backing hash/eq."""
-        return self._items
+        """The canonical sorted (name, value) tuple the hash is taken of."""
+        return tuple(sorted(self._lookup.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        body = ", ".join(f"{k}={v!r}" for k, v in self.items_tuple())
         return f"Env({body})"
 
 

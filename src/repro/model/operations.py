@@ -44,7 +44,7 @@ class Operation:
         return self.obj is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read(Operation):
     """Read object ``obj`` and receive its current value."""
 
@@ -55,7 +55,7 @@ class Read(Operation):
         return self._obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write(Operation):
     """Write ``value`` to object ``obj``; the response is an ack (None)."""
 
@@ -71,7 +71,7 @@ class Write(Operation):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Swap(Operation):
     """Atomically write ``value`` and receive the previous contents."""
 
@@ -87,7 +87,7 @@ class Swap(Operation):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestAndSet(Operation):
     """Atomically set the object to 1 and receive the previous contents."""
 
@@ -104,7 +104,7 @@ class TestAndSet(Operation):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompareAndSwap(Operation):
     """If the object holds ``expected``, replace it with ``new``.
 
@@ -125,7 +125,7 @@ class CompareAndSwap(Operation):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchAndAdd(Operation):
     """Atomically add ``delta`` and receive the previous contents."""
 
@@ -141,7 +141,7 @@ class FetchAndAdd(Operation):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoinFlip(Operation):
     """Consume the next bit of the process's coin tape (local step).
 
@@ -151,7 +151,7 @@ class CoinFlip(Operation):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marker(Operation):
     """A local no-op step carrying a label, recorded in the trace.
 

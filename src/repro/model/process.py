@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.configuration import Configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecidedState:
     """Terminal state of a process that decided ``value``.
 

@@ -163,36 +163,18 @@ _STEP_INSTRS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcState:
-    """State of a program-driven process: program counter + locals."""
+    """State of a program-driven process: program counter + locals.
+
+    It hashes ``(pc, env)`` on each call, the dataclass hash; ``Env``
+    caches its own."""
 
     pc: int
     env: Env
 
-    def __hash__(self) -> int:
-        """Structural hash, computed once per instance.
-
-        Process states key the kernel codec's state interner and every
-        interpreter step, so the same instance is hashed millions of
-        times per adversary run; both fields are immutable (``Env``
-        caches its own hash), so caching is safe.
-        """
-        try:
-            return self._hash
-        except AttributeError:
-            cached = hash((self.pc, self.env))
-            object.__setattr__(self, "_hash", cached)
-            return cached
-
-    def __getstate__(self):
-        """Pickle the fields only: ``hash()`` is salted per interpreter
-        process, so a cached hash must never travel between processes."""
-        return (self.pc, self.env)
-
-    def __setstate__(self, state) -> None:
-        object.__setattr__(self, "pc", state[0])
-        object.__setattr__(self, "env", state[1])
+    def __reduce__(self):
+        return (ProcState, (self.pc, self.env))
 
 
 @dataclass(frozen=True)

@@ -523,3 +523,60 @@ def test_metrics_parity_on_fixed_protocol():
         return snapshot
 
     assert observed(System) == observed(InterpretedSystem)
+
+
+def _split_brain_violates(decided):
+    return len(decided) > 1 or not decided <= {0, 1}
+
+
+#: One pinned search per way a search can end: the pops the kernel's
+#: ``kernel.batch`` histogram records, and 1 if the search ends inside a
+#: record (popped, then left mid-expansion), else 0.
+BATCH_SEARCHES = [
+    pytest.param("rounds:2", [0, 1], {}, None, None, 1_010, 0, id="complete"),
+    pytest.param("rounds:3", [0, 1, 1], {"max_depth": 6}, None, None, 88, 0,
+                 id="depth-truncated"),
+    pytest.param("racing:3", [0, 1, 1], {"max_configs": 500}, None, None,
+                 373, 1, id="limit"),
+    pytest.param("rounds:3", [0, 1, 1], {}, frozenset({0, 1}), None, 239, 1,
+                 id="stopped"),
+    pytest.param("split-brain:3", [0, 1, 1], {}, None, _split_brain_violates,
+                 28, 0, id="violation"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, inputs, cut, stop_when, violates, pops, ends_inside", BATCH_SEARCHES
+)
+def test_kernel_batch_counts_the_interpreters_expansions(
+    spec, inputs, cut, stop_when, violates, pops, ends_inside
+):
+    """``kernel.batch`` (pops per search) has no interpreter twin, so
+    the engine differentials cannot see it: check it against the
+    interpreter's expansions, one ``explorer.branching`` observation
+    per popped record it expanded in full."""
+    from repro.obs import MetricsRegistry, observe
+
+    protocol = parse_protocol(spec)
+    outcomes, histograms = {}, {}
+    for system_class in (System, InterpretedSystem):
+        system = system_class(protocol)
+        explorer = Explorer(system, strict=False, **cut)
+        registry = MetricsRegistry()
+        try:
+            with observe(metrics=registry):
+                result = explorer.explore(
+                    system.initial_configuration(inputs),
+                    frozenset(range(protocol.n)), stop_when, violates,
+                )
+        finally:
+            explorer.close()
+        outcomes[system_class] = (
+            result_fingerprint(result), result.violation
+        )
+        histograms[system_class] = registry.snapshot()["histograms"]
+    assert outcomes[System] == outcomes[InterpretedSystem]
+    batch = histograms[System]["kernel.batch"]
+    assert (batch["count"], batch["sum"]) == (1, pops)
+    expanded = histograms[InterpretedSystem]["explorer.branching"]["count"]
+    assert batch["sum"] == expanded + ends_inside

@@ -1,6 +1,11 @@
 """Unit tests for the core model: operations, registers, env, programs."""
 
+import os
 import pickle
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +31,9 @@ from repro.model import (
     swap_register,
     tas_object,
 )
-from repro.model.process import DecidedState
+from repro.model.operations import Operation
+from repro.model.process import HALTED, DecidedState
+from repro.model.program import ProcState
 from repro.protocols.consensus import CommitAdoptRounds
 
 
@@ -300,12 +307,74 @@ class TestCachedHashPickling:
         assert "_hash" not in clone.__dict__
         assert clone == config
 
-    def test_proc_state_round_trip_drops_cached_hash(self):
-        system = System(CommitAdoptRounds(2))
-        config = system.initial_configuration([0, 1])
-        state = config.states[0]
-        hash(state)
-        assert "_hash" in state.__dict__
-        clone = pickle.loads(pickle.dumps(state))
-        assert "_hash" not in clone.__dict__
-        assert clone == state
+    def test_state_pickled_under_another_hash_seed_keys_like_a_fresh_one(self):
+        # A round trip inside one interpreter cannot see a travelling
+        # hash: pickle in a child whose hash seed differs from ours.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", PICKLE_INITIAL_CONFIGURATION],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        clone = pickle.loads(child.stdout)
+        fresh = System(CommitAdoptRounds(2)).initial_configuration([0, 1])
+        assert clone == fresh
+        assert clone.states[0] in {fresh.states[0]}
+        assert clone.states[0].env in {fresh.states[0].env}
+        assert clone in {fresh}
+
+
+PICKLE_INITIAL_CONFIGURATION = """
+import pickle, sys
+from repro.model import System
+from repro.protocols.consensus import CommitAdoptRounds
+
+config = System(CommitAdoptRounds(2)).initial_configuration([0, 1])
+hash(config)  # populate every cached hash before pickling
+sys.stdout.buffer.write(pickle.dumps(config))
+"""
+
+
+def _operation_classes():
+    """Every subclass of ``Operation`` its module exports.  ``slots=True``
+    rebuilds a dataclass, and the frozen ``__setattr__`` keeps the first
+    class alive, so ``__subclasses__`` also lists those stale twins."""
+    found, todo = [], list(Operation.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if getattr(sys.modules[cls.__module__], cls.__qualname__, None) is cls:
+            found.append(cls)
+    return found
+
+
+class TestSlimProcessStates:
+    """The kernel interns every process state a search meets, so a state
+    and its poised operation carry no per-instance ``__dict__``, and an
+    ``Env`` keeps its bindings once."""
+
+    def test_states_and_operations_have_no_instance_dict(self):
+        operations = _operation_classes()
+        assert {cls.__name__ for cls in operations} >= {
+            "Read", "Write", "Swap", "TestAndSet", "CompareAndSwap",
+            "FetchAndAdd", "CoinFlip", "Marker",
+        }
+        state = System(CommitAdoptRounds(2)).initial_configuration([0, 1]).states[0]
+        assert isinstance(state, ProcState)
+        instances = [state, DecidedState(1), HALTED] + [
+            cls(*(0 for _ in fields(cls))) for cls in operations
+        ]
+        for instance in instances:
+            assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+    def test_env_holds_one_dict(self):
+        env = Env({"a": 1, "b": (2, 3)})
+        assert not hasattr(env, "__dict__")
+        slots = [name for cls in type(env).__mro__
+                 for name in getattr(cls, "__slots__", ())]
+        held = [getattr(env, name) for name in slots]
+        containers = [value for value in held if not isinstance(value, int)]
+        assert [type(value) for value in containers] == [dict]
+        assert containers[0] == {"a": 1, "b": (2, 3)}
